@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`http`] | hand-rolled, capped, non-panicking HTTP/1.1 parser + chunked responses |
 //! | [`job`] | specs, lifecycle states, records, handles, the [`JobExecutor`] trait |
-//! | [`journal`] | atomic write-ahead job journal with corruption-tolerant replay |
+//! | [`journal`] | write-ahead job journal (snapshot + append log) with corruption-tolerant replay |
 //! | [`server`] | bounded queue, worker pool, routes, backpressure, graceful drain |
 //! | [`client`] | minimal blocking client + retrying submit with jittered backoff |
 //!

@@ -12,26 +12,36 @@
 //!   a panicking experiment marks *that job* `failed` and nothing else;
 //! * the queue is bounded; a full queue answers `429` with `Retry-After`
 //!   instead of growing without limit;
-//! * every state transition is journaled atomically *before* it becomes
-//!   visible (write-ahead), so a `kill -9` never yields work the journal
-//!   does not know about, and a restart marks in-flight jobs
-//!   `interrupted` instead of losing them;
+//! * every state transition is journaled *before* it becomes visible
+//!   (write-ahead), so a `kill -9` never yields work the journal does not
+//!   know about, and a restart marks in-flight jobs `interrupted` instead
+//!   of losing them;
 //! * connections carry read timeouts, so a slowloris client costs one
 //!   thread for seconds, not forever;
 //! * `SIGTERM` (or `POST /shutdown`) drains: queued jobs are cancelled,
 //!   running jobs get a grace window, then their cancel flags are raised,
 //!   then the process leaves — a hard deadline on top of cooperation.
+//!
+//! # Wakeups
+//!
+//! Nothing on the way from submit to terminal state sleeps on a timer. A
+//! dedicated acceptor thread blocks in `accept` and hands each connection
+//! to a thread of its own. Workers wait on the `work` condvar, which a
+//! submit signals. Every terminal transition signals the `ended` condvar,
+//! which event streams and the drain wait on. Each transition costs O(1):
+//! one record appended to the journal log and O(1) index updates (the
+//! single-flight index maps a dedupe key straight to its in-flight job).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use clock_telemetry::{prometheus_text, Telemetry};
+use clock_telemetry::{prometheus_text, Histogram, Telemetry};
 
 use crate::http::{self, ChunkedWriter, Request};
 use crate::job::{JobExecutor, JobHandle, JobOutcome, JobRecord, JobSpec, JobState};
@@ -39,7 +49,9 @@ use crate::journal::Journal;
 
 /// How long a connection may stall between bytes before 408.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
-/// Poll cadence of the accept loop and the event tailer.
+/// How often the shutdown flag is checked, and the longest an event
+/// stream waits before re-reading its spool (spool lines written mid-run
+/// signal nothing).
 const POLL: Duration = Duration::from_millis(25);
 
 /// Server tunables.
@@ -85,21 +97,64 @@ pub struct DrainReport {
     pub cancelled_queued: usize,
 }
 
+/// A job as the server holds it.
+struct Job {
+    record: JobRecord,
+    /// When `record.state` was entered (bind time for replayed jobs):
+    /// the origin of the lifecycle histograms.
+    since: Instant,
+}
+
 struct State {
-    jobs: BTreeMap<u64, JobRecord>,
+    jobs: BTreeMap<u64, Job>,
     queue: VecDeque<u64>,
     next_id: u64,
     /// Cancel flags of every non-terminal job.
     cancel_flags: HashMap<u64, Arc<AtomicBool>>,
+    /// Single-flight index: dedupe key → the non-terminal job doing it.
+    in_flight: HashMap<String, u64>,
+}
+
+/// The job lifecycle histograms on `/metrics`, in milliseconds.
+struct Lifecycle {
+    /// Submit → a worker claims the job.
+    queue_wait: Histogram,
+    /// Claim → terminal state.
+    run: Histogram,
+    /// The later of terminal state and stream start → the stream's final
+    /// line.
+    stream_close_lag: Histogram,
+}
+
+impl Lifecycle {
+    fn new(telemetry: &Telemetry) -> Self {
+        let ms = |name| telemetry.histogram(name, 0.0, 1_000.0, 100);
+        Lifecycle {
+            queue_wait: ms("serve.queue_wait_ms"),
+            run: ms("serve.run_ms"),
+            stream_close_lag: ms("serve.stream_close_lag_ms"),
+        }
+    }
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 struct Shared {
     state: Mutex<State>,
-    cv: Condvar,
+    /// Workers wait here for queued work.
+    work: Condvar,
+    /// Signalled whenever a job reaches a terminal state: event streams
+    /// and the drain wait here.
+    ended: Condvar,
     journal: Journal,
     config: ServerConfig,
     executor: Arc<dyn JobExecutor>,
     telemetry: Telemetry,
+    lifecycle: Lifecycle,
+    /// Each job's share of the cores (see [`JobHandle::thread_budget`]).
+    thread_budget: usize,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -108,28 +163,61 @@ impl Shared {
         self.config.data_dir.join(format!("job-{id}.events.jsonl"))
     }
 
-    /// Persist the journal from inside the state lock. Failures degrade
-    /// (warn + keep serving) rather than kill the server: the journal is
-    /// a recovery aid, not a correctness dependency for live traffic.
-    fn persist_locked(&self, st: &State) {
-        let jobs: Vec<JobRecord> = st.jobs.values().cloned().collect();
-        if let Err(e) = self.journal.persist(st.next_id, &jobs) {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("state lock")
+    }
+
+    /// Journal one record from inside the state lock, before its change
+    /// becomes visible. Failures degrade (warn + keep serving) rather
+    /// than kill the server: the journal is a recovery aid, not a
+    /// correctness dependency for live traffic.
+    fn journal_locked(&self, record: &JobRecord) {
+        let written = self.journal.append(record);
+        self.journal_outcome(written);
+    }
+
+    /// Rewrite the journal snapshot from the full state and start the log
+    /// over; the state lock keeps appends out meanwhile.
+    fn compact_locked(&self, st: &State) {
+        let written = self
+            .journal
+            .compact(st.next_id, st.jobs.values().map(|j| &j.record));
+        self.journal_outcome(written);
+    }
+
+    fn journal_outcome(&self, written: std::io::Result<()>) {
+        if let Err(e) = written {
             self.telemetry.counter("serve.journal_errors").inc();
             eprintln!(
-                "serve: warning: cannot persist job journal {}: {e}",
+                "serve: warning: cannot write job journal {}: {e}",
                 self.journal.path().display()
             );
         }
     }
 
-    fn finish_job(&self, id: u64, state: JobState, detail: String) {
-        let mut st = self.state.lock().expect("state lock");
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.state = state;
-            job.detail = detail;
+    /// Move a non-terminal job to a terminal state under the lock: journal
+    /// it and retire its cancel flag and single-flight entry. The caller
+    /// signals `ended` once the lock is released.
+    fn end_locked(&self, st: &mut State, id: u64, state: JobState, detail: String) {
+        let Some(job) = st.jobs.get_mut(&id) else {
+            return;
+        };
+        job.record.state = state;
+        job.record.detail = detail;
+        job.since = Instant::now();
+        self.journal_locked(&job.record);
+        if st.in_flight.get(&job.record.dedupe_key) == Some(&id) {
+            st.in_flight.remove(&job.record.dedupe_key);
         }
         st.cancel_flags.remove(&id);
-        self.persist_locked(&st);
+    }
+
+    fn finish_job(&self, id: u64, state: JobState, detail: String) {
+        let mut st = self.lock();
+        if let Some(job) = st.jobs.get(&id) {
+            self.lifecycle.run.record(ms_since(job.since));
+        }
+        self.end_locked(&mut st, id, state, detail);
         drop(st);
         let counter = match state {
             JobState::Completed => "serve.jobs_completed",
@@ -138,12 +226,22 @@ impl Shared {
             _ => "serve.jobs_cancelled",
         };
         self.telemetry.counter(counter).inc();
-        self.cv.notify_all();
+        self.ended.notify_all();
+    }
+
+    /// Wait up to `grace` for every in-flight job to reach a terminal
+    /// state; true when none is left.
+    fn wait_idle(&self, grace: Duration) -> bool {
+        let (st, _) = self
+            .ended
+            .wait_timeout_while(self.lock(), grace, |st| !st.cancel_flags.is_empty())
+            .expect("state lock");
+        st.cancel_flags.is_empty()
     }
 }
 
 /// The bound, journal-replayed, worker-staffed service. [`Server::run`]
-/// blocks on the accept loop until shutdown, then drains.
+/// serves until shutdown, then drains.
 pub struct Server {
     shared: Arc<Shared>,
     listener: TcpListener,
@@ -153,7 +251,8 @@ pub struct Server {
 
 impl Server {
     /// Bind the listener, replay the journal (marking in-flight jobs of a
-    /// previous life `interrupted`), and start the worker pool.
+    /// previous life `interrupted`) and compact it, and start the worker
+    /// pool.
     pub fn bind(
         config: ServerConfig,
         executor: Arc<dyn JobExecutor>,
@@ -173,26 +272,35 @@ impl Server {
                 .counter("serve.jobs_interrupted")
                 .add(recovered.interrupted as u64);
         }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let thread_budget = (cores / config.workers.max(1)).max(1);
+        let now = Instant::now();
         let state = State {
-            jobs: recovered.jobs.into_iter().map(|j| (j.id, j)).collect(),
+            jobs: recovered
+                .jobs
+                .into_iter()
+                .map(|record| (record.id, Job { record, since: now }))
+                .collect(),
             queue: VecDeque::new(),
             next_id: recovered.next_id,
             cancel_flags: HashMap::new(),
+            in_flight: HashMap::new(),
         };
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            ended: Condvar::new(),
             journal,
             config,
             executor,
+            lifecycle: Lifecycle::new(&telemetry),
             telemetry,
+            thread_budget,
             shutdown: Arc::new(AtomicBool::new(false)),
         });
-        // Make the interrupted marks durable before serving.
-        {
-            let st = shared.state.lock().expect("state lock");
-            shared.persist_locked(&st);
-        }
+        // Make the interrupted marks durable, and start the log over,
+        // before serving.
+        shared.compact_locked(&shared.lock());
         let workers = (0..shared.config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -220,25 +328,30 @@ impl Server {
 
     /// Serve until the shutdown flag rises, then drain and return.
     pub fn run(self) -> DrainReport {
-        self.listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || handle_connection(&shared, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
+        let Server {
+            shared,
+            listener,
+            workers,
+            local_addr,
+        } = self;
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&shared, listener))
+        };
+        // The flag is a plain atomic its owners store into without a
+        // notifier, so it is watched here, off every request's path.
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            std::thread::sleep(POLL);
         }
-        drop(self.listener);
-        let report = drain(&self.shared);
+        // Wake the acceptor out of its blocking accept; it sees the flag
+        // and closes the listener. Should the connect fail, it is left to
+        // exit on the next connection or with the process.
+        if TcpStream::connect(loopback(local_addr)).is_ok() {
+            let _ = acceptor.join();
+        }
+        let report = drain(&shared);
         if report.drained {
-            for w in self.workers {
+            for w in workers {
                 let _ = w.join();
             }
         }
@@ -248,58 +361,78 @@ impl Server {
     }
 }
 
-/// Cancel every queued job, give running jobs a grace window, raise their
-/// cancel flags, give them one more window, then give up.
-fn drain(shared: &Shared) -> DrainReport {
-    shared.cv.notify_all();
-    let cancelled_queued = {
-        let mut st = shared.state.lock().expect("state lock");
-        let ids: Vec<u64> = st.queue.drain(..).collect();
-        for id in &ids {
-            if let Some(job) = st.jobs.get_mut(id) {
-                job.state = JobState::Cancelled;
-                job.detail = "server shutting down".to_owned();
-            }
-            st.cancel_flags.remove(id);
+/// Where to connect to reach a listener bound at `addr` (an unspecified
+/// bind address is reached through loopback).
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// The acceptor: block in `accept`, give every connection a thread of
+/// its own, and close the listener once the shutdown flag is up.
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
+    for conn in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
-        if !ids.is_empty() {
-            shared.persist_locked(&st);
+        match conn {
+            Ok(stream) => {
+                let handler = Arc::clone(shared);
+                let spawned =
+                    std::thread::Builder::new().spawn(move || handle_connection(&handler, stream));
+                if spawned.is_err() {
+                    // Out of threads: the connection drops, the server
+                    // stays up.
+                    shared.telemetry.counter("serve.spawn_failures").inc();
+                }
+            }
+            // Accept errors (out of file descriptors, ...) back off
+            // instead of spinning.
+            Err(_) => std::thread::sleep(POLL),
+        }
+    }
+}
+
+/// Cancel every queued job, give running jobs a grace window, raise their
+/// cancel flags, give them one more window, then give up. Either way the
+/// journal is compacted last.
+fn drain(shared: &Shared) -> DrainReport {
+    shared.work.notify_all();
+    let cancelled_queued = {
+        let mut st = shared.lock();
+        let ids: Vec<u64> = st.queue.drain(..).collect();
+        for &id in &ids {
+            shared.end_locked(
+                &mut st,
+                id,
+                JobState::Cancelled,
+                "server shutting down".to_owned(),
+            );
         }
         ids.len()
     };
+    shared.ended.notify_all();
     shared
         .telemetry
         .counter("serve.jobs_cancelled")
         .add(cancelled_queued as u64);
     let grace = Duration::from_millis(shared.config.drain_grace_ms);
-    let running = |shared: &Shared| {
-        shared
-            .state
-            .lock()
-            .expect("state lock")
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count()
-    };
-    let polite = Instant::now() + grace;
-    while running(shared) > 0 && Instant::now() < polite {
-        std::thread::sleep(POLL);
-    }
-    if running(shared) > 0 {
+    let mut drained = shared.wait_idle(grace);
+    if !drained {
         // Grace expired: cancel what is left and wait once more.
-        let st = shared.state.lock().expect("state lock");
-        for flag in st.cancel_flags.values() {
+        for flag in shared.lock().cancel_flags.values() {
             flag.store(true, Ordering::SeqCst);
         }
-        drop(st);
-        let hard = Instant::now() + grace;
-        while running(shared) > 0 && Instant::now() < hard {
-            std::thread::sleep(POLL);
-        }
+        drained = shared.wait_idle(grace);
     }
+    shared.compact_locked(&shared.lock());
     DrainReport {
-        drained: running(shared) == 0,
+        drained,
         cancelled_queued,
     }
 }
@@ -308,17 +441,17 @@ fn drain(shared: &Shared) -> DrainReport {
 fn worker_loop(shared: &Shared) {
     loop {
         let claimed = {
-            let mut st = shared.state.lock().expect("state lock");
+            let mut st = shared.lock();
             loop {
                 if let Some(id) = st.queue.pop_front() {
-                    let spec = st.jobs.get(&id).map(|j| j.spec.clone());
                     let flag = st.cancel_flags.get(&id).cloned();
-                    if let (Some(spec), Some(flag)) = (spec, flag) {
-                        if let Some(job) = st.jobs.get_mut(&id) {
-                            job.state = JobState::Running;
-                        }
-                        shared.persist_locked(&st);
-                        break Some((id, spec, flag));
+                    let job = st.jobs.get_mut(&id);
+                    if let (Some(job), Some(flag)) = (job, flag) {
+                        shared.lifecycle.queue_wait.record(ms_since(job.since));
+                        job.record.state = JobState::Running;
+                        job.since = Instant::now();
+                        shared.journal_locked(&job.record);
+                        break Some((id, job.record.spec.clone(), flag));
                     }
                     continue; // cancelled while queued; nothing to run
                 }
@@ -326,7 +459,7 @@ fn worker_loop(shared: &Shared) {
                     break None;
                 }
                 let (next, _timeout) = shared
-                    .cv
+                    .work
                     .wait_timeout(st, Duration::from_millis(200))
                     .expect("state lock");
                 st = next;
@@ -341,7 +474,8 @@ fn worker_loop(shared: &Shared) {
             shared.config.default_timeout_ms
         };
         let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
-        let handle = JobHandle::new(id, flag, deadline, shared.spool_path(id));
+        let handle = JobHandle::new(id, flag, deadline, shared.spool_path(id))
+            .with_thread_budget(shared.thread_budget);
         // Supervision backstop: the executor already contains its own
         // panics, but even a broken executor must only fail this job.
         let outcome = catch_unwind(AssertUnwindSafe(|| shared.executor.run(&spec, &handle)))
@@ -424,8 +558,8 @@ fn route(shared: &Shared, request: &Request, w: &mut TcpStream) {
         }
         ("POST", ["submit"]) => submit(shared, request, w),
         ("GET", ["jobs"]) => {
-            let st = shared.state.lock().expect("state lock");
-            let jobs: Vec<JobRecord> = st.jobs.values().cloned().collect();
+            let st = shared.lock();
+            let jobs: Vec<JobRecord> = st.jobs.values().map(|j| j.record.clone()).collect();
             drop(st);
             let body = serde_json::to_string(&jobs).expect("plain data serializes");
             let _ = http::write_json(w, 200, "OK", &[], &body);
@@ -441,7 +575,7 @@ fn route(shared: &Shared, request: &Request, w: &mut TcpStream) {
         ("GET", ["jobs", id, "events"]) => stream_events(shared, id, w),
         ("POST", ["shutdown"]) => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            shared.cv.notify_all();
+            shared.work.notify_all();
             let _ = http::write_json(w, 200, "OK", &[], "{\"draining\":true}\n");
         }
         _ => not_found(w),
@@ -454,13 +588,7 @@ fn not_found(w: &mut TcpStream) {
 
 fn lookup(shared: &Shared, id: &str) -> Option<JobRecord> {
     let id: u64 = id.parse().ok()?;
-    shared
-        .state
-        .lock()
-        .expect("state lock")
-        .jobs
-        .get(&id)
-        .cloned()
+    shared.lock().jobs.get(&id).map(|j| j.record.clone())
 }
 
 fn submit_response(job: &JobRecord, deduped: bool) -> String {
@@ -489,7 +617,12 @@ fn submit(shared: &Shared, request: &Request, w: &mut TcpStream) {
         let _ = http::write_json(w, 400, "Bad Request", &[], &body);
         return;
     }
+    let dedupe_key = shared.executor.dedupe_key(&spec);
+    let mut st = shared.lock();
+    // Checked under the lock, so the drain's sweep of the queue cannot
+    // miss a job submitted as the flag rises.
     if shared.shutdown.load(Ordering::SeqCst) {
+        drop(st);
         let _ = http::write_json(
             w,
             503,
@@ -499,19 +632,15 @@ fn submit(shared: &Shared, request: &Request, w: &mut TcpStream) {
         );
         return;
     }
-    let dedupe_key = shared.executor.dedupe_key(&spec);
-    let mut st = shared.state.lock().expect("state lock");
     // Single-flight: an identical spec already queued or running answers
     // with that job instead of doing the work twice.
-    if let Some(existing) = st
-        .jobs
-        .values()
-        .find(|j| !j.state.is_terminal() && j.dedupe_key == dedupe_key)
-        .map(|j| j.id)
-    {
+    if let Some(existing) = st.in_flight.get(&dedupe_key).copied() {
         if let Some(job) = st.jobs.get_mut(&existing) {
-            job.deduped = true;
-            let body = submit_response(job, true);
+            if !job.record.deduped {
+                job.record.deduped = true;
+                shared.journal_locked(&job.record);
+            }
+            let body = submit_response(&job.record, true);
             drop(st);
             shared.telemetry.counter("serve.deduped").inc();
             let _ = http::write_json(w, 200, "OK", &[], &body);
@@ -532,7 +661,7 @@ fn submit(shared: &Shared, request: &Request, w: &mut TcpStream) {
     }
     let id = st.next_id;
     st.next_id += 1;
-    let job = JobRecord {
+    let record = JobRecord {
         id,
         spec,
         state: JobState::Queued,
@@ -540,15 +669,22 @@ fn submit(shared: &Shared, request: &Request, w: &mut TcpStream) {
         dedupe_key,
         deduped: false,
     };
-    let body = submit_response(&job, false);
-    st.jobs.insert(id, job);
-    st.cancel_flags.insert(id, Arc::new(AtomicBool::new(false)));
     // Write-ahead: journal the queued job before any worker can see it.
-    shared.persist_locked(&st);
+    shared.journal_locked(&record);
+    let body = submit_response(&record, false);
+    st.in_flight.insert(record.dedupe_key.clone(), id);
+    st.cancel_flags.insert(id, Arc::new(AtomicBool::new(false)));
+    st.jobs.insert(
+        id,
+        Job {
+            record,
+            since: Instant::now(),
+        },
+    );
     st.queue.push_back(id);
     drop(st);
     shared.telemetry.counter("serve.submitted").inc();
-    shared.cv.notify_one();
+    shared.work.notify_one();
     let _ = http::write_json(w, 202, "Accepted", &[], &body);
 }
 
@@ -557,8 +693,8 @@ fn cancel(shared: &Shared, id: &str, w: &mut TcpStream) {
         not_found(w);
         return;
     };
-    let mut st = shared.state.lock().expect("state lock");
-    let Some(state) = st.jobs.get(&id).map(|j| j.state) else {
+    let mut st = shared.lock();
+    let Some(state) = st.jobs.get(&id).map(|j| j.record.state) else {
         drop(st);
         not_found(w);
         return;
@@ -566,14 +702,15 @@ fn cancel(shared: &Shared, id: &str, w: &mut TcpStream) {
     match state {
         JobState::Queued => {
             st.queue.retain(|&q| q != id);
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
-                job.detail = "cancelled before start".to_owned();
-            }
-            st.cancel_flags.remove(&id);
-            shared.persist_locked(&st);
+            shared.end_locked(
+                &mut st,
+                id,
+                JobState::Cancelled,
+                "cancelled before start".to_owned(),
+            );
             drop(st);
             shared.telemetry.counter("serve.jobs_cancelled").inc();
+            shared.ended.notify_all();
             let _ = http::write_json(w, 200, "OK", &[], "{\"state\":\"cancelled\"}\n");
         }
         JobState::Running => {
@@ -598,54 +735,70 @@ fn cancel(shared: &Shared, id: &str, w: &mut TcpStream) {
 }
 
 /// Tail a job's JSONL event spool over a chunked response until the job
-/// reaches a terminal state, then append one final status line. A client
-/// that disconnects mid-stream just ends the tail (write errors are the
-/// signal); the job itself is unaffected.
+/// reaches a terminal state, then append one final status line. Between
+/// spool reads the stream sleeps on the `ended` condvar, so the job's
+/// terminal transition wakes it at once. A client that disconnects mid-stream just
+/// ends the tail (write errors are the signal); the job itself is
+/// unaffected.
 fn stream_events(shared: &Shared, id: &str, w: &mut TcpStream) {
     let Ok(id) = id.parse::<u64>() else {
         not_found(w);
         return;
     };
-    if lookup_state(shared, id).is_none() {
+    let Some((mut state, mut since)) = lookup_state(shared, id) else {
         not_found(w);
         return;
-    }
-    // Streams outlive the per-request read timeout by design; drop the
-    // write timeout to the same short value so a stuck client is shed.
+    };
+    let started = Instant::now();
+    // The write timeout set in `handle_connection` stays on: a stream
+    // lasts as long as its job, but a client that stops reading is shed
+    // after READ_TIMEOUT.
     let Ok(mut chunked) = ChunkedWriter::start(&mut *w, "application/jsonl") else {
         return;
     };
     let path = shared.spool_path(id);
     let mut offset = 0u64;
-    while let Some(state) = lookup_state(shared, id) {
+    loop {
+        // `state` was read before the spool: once it is terminal, this
+        // read sees every line the job wrote.
         let chunk = read_from(&path, offset);
         if !chunk.is_empty() {
             offset += chunk.len() as u64;
             if chunked.write_chunk(&chunk).is_err() {
                 return; // client went away; nothing more to do
             }
-        } else if state.is_terminal() {
-            let line = format!("{{\"job\":{id},\"state\":\"{}\"}}\n", state.label());
-            let _ = chunked.write_chunk(line.as_bytes());
-            break;
-        } else {
-            std::thread::sleep(POLL);
+            continue;
         }
-        if shared.shutdown.load(Ordering::SeqCst) && lookup_state(shared, id).is_none() {
+        if state.is_terminal() {
             break;
+        }
+        let (st, _) = shared
+            .ended
+            .wait_timeout_while(shared.lock(), POLL, |st| {
+                st.jobs
+                    .get(&id)
+                    .is_some_and(|j| !j.record.state.is_terminal())
+            })
+            .expect("state lock");
+        if let Some(job) = st.jobs.get(&id) {
+            (state, since) = (job.record.state, job.since);
         }
     }
+    shared
+        .lifecycle
+        .stream_close_lag
+        .record(ms_since(since.max(started)));
+    let line = format!("{{\"job\":{id},\"state\":\"{}\"}}\n", state.label());
+    let _ = chunked.write_chunk(line.as_bytes());
     let _ = chunked.finish();
 }
 
-fn lookup_state(shared: &Shared, id: u64) -> Option<JobState> {
+fn lookup_state(shared: &Shared, id: u64) -> Option<(JobState, Instant)> {
     shared
-        .state
         .lock()
-        .expect("state lock")
         .jobs
         .get(&id)
-        .map(|j| j.state)
+        .map(|j| (j.record.state, j.since))
 }
 
 /// Read everything after `offset` (empty on any error — a not-yet-created

@@ -13,7 +13,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clock_serve::{client, JobExecutor, JobHandle, JobOutcome, JobSpec, Server, ServerConfig};
+use clock_serve::{
+    client, JobExecutor, JobHandle, JobOutcome, JobRecord, JobSpec, JobState, Server, ServerConfig,
+};
 use clock_telemetry::Telemetry;
 
 struct ToyExecutor;
@@ -404,6 +406,118 @@ fn corrupt_journal_is_set_aside_and_server_starts_fresh() {
         dir.join("journal.corrupt").exists(),
         "corrupt journal preserved for forensics"
     );
+    shutdown.store(true, Ordering::SeqCst);
+    thread.join().expect("server joins");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submit an `ok` job and read its event stream to the end; returns the
+/// job id.
+fn run_ok_job(server: &TestServer) -> u64 {
+    let (status, body) = server.submit(r#"{"experiment":"ok"}"#);
+    assert_eq!(status, 202, "{body}");
+    let id = job_id(&body);
+    let resp = client::request(&server.addr, "GET", &format!("/jobs/{id}/events"), None)
+        .expect("event stream");
+    assert_eq!(resp.status, 200);
+    id
+}
+
+#[test]
+fn metrics_expose_job_lifecycle_histograms() {
+    let server = TestServer::start("lifecycle", |_| {});
+    const JOBS: usize = 5;
+    for _ in 0..JOBS {
+        run_ok_job(&server);
+    }
+    let text = client::request(&server.addr, "GET", "/metrics", None)
+        .expect("metrics")
+        .body;
+    for name in [
+        "serve_queue_wait_ms",
+        "serve_run_ms",
+        "serve_stream_close_lag_ms",
+    ] {
+        assert!(
+            text.contains(&format!("{name}_count {JOBS}\n")),
+            "{name} must count every job: {text}"
+        );
+        assert!(
+            text.contains(&format!("{name}{{quantile=\"0.5\"}} ")),
+            "{name} must expose quantiles: {text}"
+        );
+    }
+}
+
+#[test]
+fn sequential_jobs_do_not_wait_on_poll_ticks() {
+    // Each job is a submit and an event stream to its terminal line. A
+    // server that sleeps in 25 ms ticks on that path needs at least two
+    // ticks per job, so 20 jobs would take at least 1 s.
+    const JOBS: u32 = 20;
+    let server = TestServer::start("latency", |_| {});
+    let started = Instant::now();
+    for _ in 0..JOBS {
+        run_ok_job(&server);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(25) * JOBS,
+        "{JOBS} sequential jobs took {elapsed:?}"
+    );
+}
+
+#[test]
+fn bind_compacts_the_journal_log_into_the_snapshot() {
+    let dir = std::env::temp_dir().join(format!("serve-test-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // The log a killed server left behind: job 1 completed, job 2 was
+    // still running.
+    let record = |id: u64, state: JobState| JobRecord {
+        id,
+        spec: JobSpec {
+            experiment: "ok".to_owned(),
+            quick: false,
+            timeout_ms: 0,
+        },
+        state,
+        detail: String::new(),
+        dedupe_key: format!("toy:{id}"),
+        deduped: false,
+    };
+    let log: String = [
+        record(1, JobState::Queued),
+        record(2, JobState::Queued),
+        record(1, JobState::Completed),
+        record(2, JobState::Running),
+    ]
+    .iter()
+    .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
+    .collect();
+    std::fs::write(dir.join("journal.log"), log).expect("write log");
+    let config = ServerConfig {
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    };
+    let server =
+        Server::bind(config, Arc::new(ToyExecutor), Telemetry::enabled()).expect("bind over a log");
+    let log_len = std::fs::metadata(dir.join("journal.log"))
+        .expect("log")
+        .len();
+    assert_eq!(log_len, 0, "bind compaction truncates the log");
+    let snapshot = std::fs::read_to_string(dir.join("journal.json")).expect("snapshot");
+    assert!(snapshot.contains("\"completed\""), "{snapshot}");
+    assert!(snapshot.contains("\"interrupted\""), "{snapshot}");
+    assert!(!snapshot.contains("\"running\""), "{snapshot}");
+    let addr = server.local_addr().to_string();
+    let shutdown = server.shutdown_flag();
+    let thread = std::thread::spawn(move || server.run());
+    let resp = client::request(&addr, "GET", "/jobs/2", None).expect("replayed job");
+    assert_eq!(field_str(&resp.body, "state"), "interrupted");
+    let resp = client::request(&addr, "POST", "/submit", Some(r#"{"experiment":"ok"}"#))
+        .expect("fresh submit");
+    assert_eq!(job_id(&resp.body), 3, "ids advance past the log");
     shutdown.store(true, Ordering::SeqCst);
     thread.join().expect("server joins");
     let _ = std::fs::remove_dir_all(&dir);
