@@ -9,10 +9,6 @@
 //! resubmitted experiment short-circuits through cache hits instead of
 //! recomputing.
 //!
-//! Sweeps run under the handle's thread budget, the job's share of the
-//! cores: with one core per worker they run inline on the worker thread
-//! instead of spawning scoped threads per sweep.
-//!
 //! Cancellation and deadlines arrive as the job handle's cancel flag and
 //! deadline, converted here into the [`CancelToken`] threaded through
 //! [`RunCtx`]; a fired token unwinds with [`SweepCancelled`], which this
@@ -29,7 +25,7 @@ use crate::cache::{self, CacheKeyExt as _, SweepCache};
 use crate::config::PaperParams;
 use crate::registry::{self, Invocation, Runner};
 use crate::runner::RunCtx;
-use crate::sweep::{self, panic_message, CancelReason, CancelToken, SweepCancelled};
+use crate::sweep::{panic_message, CancelReason, CancelToken, SweepCancelled};
 
 /// Runs registry experiment ids as supervised service jobs.
 pub struct RegistryExecutor {
@@ -88,7 +84,7 @@ impl JobExecutor for RegistryExecutor {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut scope = telemetry.scope("serve.job");
             scope.attr("experiment", experiment.as_str());
-            sweep::with_thread_budget(handle.thread_budget(), || registry::run(&experiment, &inv))
+            registry::run(&experiment, &inv)
         }));
         let _ = telemetry.flush();
         match result {

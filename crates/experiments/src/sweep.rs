@@ -1,7 +1,6 @@
 //! Parallel parameter sweeps over std scoped threads: a cost-modelled
 //! longest-job-first scheduler with cache short-circuiting, an optional
-//! live progress line on stderr, a worker-count override, and a
-//! per-thread worker budget ([`with_thread_budget`]).
+//! live progress line on stderr, and a worker-count override.
 //!
 //! # Scheduling
 //!
@@ -34,7 +33,6 @@
 //! propagates immediately (no further items are claimed) and the job
 //! supervisor maps to a `cancelled`/`timeout` terminal state.
 
-use std::cell::Cell;
 use std::io::{IsTerminal as _, Write as _};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -49,12 +47,6 @@ static PROGRESS: AtomicBool = AtomicBool::new(false);
 
 /// Process-wide worker-count override (0 = automatic).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's cap on sweep workers (0 = none); see
-    /// [`with_thread_budget`].
-    static BUDGET: Cell<usize> = const { Cell::new(0) };
-}
 
 /// Enable or disable the live progress line printed by [`parallel_map`].
 pub fn set_progress(on: bool) {
@@ -82,21 +74,6 @@ pub fn thread_override() -> Option<usize> {
     }
 }
 
-/// Run `f` with the sweeps it starts on this thread capped at `budget`
-/// workers (0 = no cap). The experiment service runs each job under its
-/// share of the cores, so concurrent jobs do not oversubscribe them; a
-/// budget of 1 runs the sweeps inline and spawns no threads.
-pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BUDGET.set(self.0);
-        }
-    }
-    let _restore = Restore(BUDGET.replace(budget));
-    f()
-}
-
 /// Workers to spawn for `pending` dispatchable items.
 fn worker_count(pending: usize) -> usize {
     let base = thread_override().unwrap_or_else(|| {
@@ -104,10 +81,6 @@ fn worker_count(pending: usize) -> usize {
             .map(|p| p.get())
             .unwrap_or(1)
     });
-    let base = match BUDGET.get() {
-        0 => base,
-        budget => base.min(budget),
-    };
     base.min(pending).max(1)
 }
 
@@ -846,23 +819,6 @@ mod tests {
         assert_eq!(panic_message(&*cancel), "sweep deadline exceeded");
         let opaque: Box<dyn std::any::Any + Send> = Box::new(7u32);
         assert_eq!(panic_message(&*opaque), "non-string panic payload");
-    }
-
-    #[test]
-    fn thread_budget_of_one_runs_sweeps_inline_and_restores() {
-        let me = std::thread::current().id();
-        let items: Vec<u32> = (0..16).collect();
-        let out = with_thread_budget(1, || {
-            parallel_map(&items, |&x| (x, std::thread::current().id()))
-        });
-        assert!(
-            out.iter().all(|&(_, t)| t == me),
-            "a budget of 1 must not spawn workers"
-        );
-        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
-        let unwound = catch_unwind(|| with_thread_budget(1, || panic!("inside the budget")));
-        assert!(unwound.is_err());
-        assert_eq!(BUDGET.get(), 0, "the budget is restored, even on unwind");
     }
 
     /// Tests that touch the process-global worker override take this lock

@@ -193,7 +193,6 @@ pub struct JobHandle {
     /// Where the job's JSONL telemetry/progress events must be written;
     /// `GET /jobs/<id>/events` tails this file.
     pub events_path: PathBuf,
-    thread_budget: usize,
 }
 
 impl JobHandle {
@@ -209,21 +208,7 @@ impl JobHandle {
             cancel,
             deadline,
             events_path,
-            thread_budget: 0,
         }
-    }
-
-    /// Cap the threads the job should run at once (0 = no cap).
-    #[must_use]
-    pub(crate) fn with_thread_budget(mut self, threads: usize) -> Self {
-        self.thread_budget = threads;
-        self
-    }
-
-    /// The most threads the job should run at once — its share of the
-    /// cores, so concurrent jobs do not oversubscribe them (0 = no cap).
-    pub fn thread_budget(&self) -> usize {
-        self.thread_budget
     }
 
     /// The shared cancel flag (raise from any thread to cancel).
@@ -261,8 +246,8 @@ pub trait JobExecutor: Send + Sync + 'static {
     fn dedupe_key(&self, spec: &JobSpec) -> String;
 
     /// Run the spec under the handle: honour `handle.cancel_flag()` and
-    /// `handle.deadline()` cooperatively, keep to `handle.thread_budget()`,
-    /// spool JSONL events to `handle.events_path`.
+    /// `handle.deadline()` cooperatively, spool JSONL events to
+    /// `handle.events_path`.
     fn run(&self, spec: &JobSpec, handle: &JobHandle) -> JobOutcome;
 }
 

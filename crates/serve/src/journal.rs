@@ -24,13 +24,15 @@
 //! aside as `journal.corrupt` and treated as absent rather than fatal —
 //! the service must start from arbitrary on-disk state. A log whose last
 //! line lacks its newline was cut by a crash mid-append; that torn line is
-//! dropped. Any other unparseable log line sets the whole log aside as
-//! `journal.log.corrupt`. A v1 snapshot (one JSON object holding every
-//! record) still replays, and the next compaction rewrites it as v2.
+//! dropped on replay and cut off the file before the next append, so a
+//! later line can never land glued onto it. Any other unparseable log line
+//! sets the whole log aside as `journal.log.corrupt`. A v1 snapshot (one
+//! JSON object holding every record) still replays, and the next
+//! compaction rewrites it as v2.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -221,10 +223,13 @@ impl Journal {
         if let Some(parent) = self.log_path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
-            .open(&self.log_path)
+            .open(&self.log_path)?;
+        cut_torn_tail(&mut file)?;
+        Ok(file)
     }
 
     /// Write `jobs` as the new snapshot, one record at a time, and
@@ -273,6 +278,32 @@ impl Journal {
         };
         file.set_len(0)
     }
+}
+
+/// Cut a final line that lacks its newline (a crash mid-append) off
+/// `file`, so the next append starts a line of its own instead of turning
+/// the torn one into a corrupt middle line.
+fn cut_torn_tail(file: &mut File) -> std::io::Result<()> {
+    let len = file.metadata()?.len();
+    let mut buf = [0u8; 4096];
+    // Scan back from the end for the last newline; keep what precedes it.
+    let mut end = len;
+    let mut keep = 0;
+    while end > 0 {
+        let start = end.saturating_sub(buf.len() as u64);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            keep = start + i as u64 + 1;
+            break;
+        }
+        end = start;
+    }
+    if keep < len {
+        file.set_len(keep)?;
+    }
+    Ok(())
 }
 
 /// Parse a snapshot's first line: a v2 header, or a whole v1 snapshot.
@@ -430,6 +461,40 @@ mod tests {
         assert_eq!(r.jobs[0].state, JobState::Completed);
         assert_eq!(r.next_id, 2);
         assert!(!j.log_path.with_extension("log.corrupt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_a_torn_tail_cuts_it_off_first() {
+        let (dir, j) = fresh_journal("torn-append");
+        // A crash mid-append left a torn line, and the restart's compaction
+        // failed, so the next life appends straight onto the torn log.
+        let torn = line(&record(2, JobState::Queued));
+        let text = format!(
+            "{}{}",
+            line(&record(1, JobState::Completed)),
+            &torn[..torn.len() / 2]
+        );
+        std::fs::write(&j.log_path, text).expect("write log");
+        j.append(&record(3, JobState::Queued)).expect("append");
+        let r = j.load();
+        let ids: Vec<u64> = r.jobs.iter().map(|job| job.id).collect();
+        assert_eq!(ids, [1, 3], "earlier lines survive: {:?}", r.jobs);
+        assert_eq!(r.jobs[0].state, JobState::Completed);
+        assert_eq!(r.next_id, 4);
+        assert!(!j.log_path.with_extension("log.corrupt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_tail_longer_than_a_read_chunk_is_cut_whole() {
+        let (dir, j) = fresh_journal("torn-long");
+        let kept = line(&record(1, JobState::Completed));
+        let text = format!("{kept}{}", "x".repeat(10_000));
+        std::fs::write(&j.log_path, text).expect("write log");
+        j.append(&record(2, JobState::Queued)).expect("append");
+        let log = std::fs::read_to_string(&j.log_path).expect("read log");
+        assert_eq!(log, format!("{kept}{}", line(&record(2, JobState::Queued))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,9 +28,10 @@
 //! dedicated acceptor thread blocks in `accept` and hands each connection
 //! to a thread of its own. Workers wait on the `work` condvar, which a
 //! submit signals. Every terminal transition signals the `ended` condvar,
-//! which event streams and the drain wait on. Each transition costs O(1):
-//! one record appended to the journal log and O(1) index updates (the
-//! single-flight index maps a dedupe key straight to its in-flight job).
+//! which event streams and the drain wait on; each waiter then re-checks
+//! its own job. Journal and index work per transition is O(1): one record
+//! appended to the journal log and O(1) index updates (the single-flight
+//! index maps a dedupe key straight to its in-flight job).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
@@ -61,7 +62,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Job worker threads.
     pub workers: usize,
-    /// Bounded queue depth; submits beyond it are shed with 429.
+    /// Bounded queue depth; submits beyond it are shed with 429. Jobs a
+    /// free worker is about to claim do not count against it.
     pub queue_capacity: usize,
     /// Journal and per-job event spools live here.
     pub data_dir: PathBuf,
@@ -113,6 +115,10 @@ struct State {
     cancel_flags: HashMap<u64, Arc<AtomicBool>>,
     /// Single-flight index: dedupe key → the non-terminal job doing it.
     in_flight: HashMap<String, u64>,
+    /// Workers not running a job. A submit counts them as extra queue
+    /// room: a woken (or still starting) worker may not have claimed its
+    /// job yet when the next submit arrives.
+    free_workers: usize,
 }
 
 /// The job lifecycle histograms on `/metrics`, in milliseconds.
@@ -153,8 +159,6 @@ struct Shared {
     executor: Arc<dyn JobExecutor>,
     telemetry: Telemetry,
     lifecycle: Lifecycle,
-    /// Each job's share of the cores (see [`JobHandle::thread_budget`]).
-    thread_budget: usize,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -218,6 +222,8 @@ impl Shared {
             self.lifecycle.run.record(ms_since(job.since));
         }
         self.end_locked(&mut st, id, state, detail);
+        // The worker that ran the job is free again.
+        st.free_workers += 1;
         drop(st);
         let counter = match state {
             JobState::Completed => "serve.jobs_completed",
@@ -272,8 +278,6 @@ impl Server {
                 .counter("serve.jobs_interrupted")
                 .add(recovered.interrupted as u64);
         }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let thread_budget = (cores / config.workers.max(1)).max(1);
         let now = Instant::now();
         let state = State {
             jobs: recovered
@@ -285,6 +289,7 @@ impl Server {
             next_id: recovered.next_id,
             cancel_flags: HashMap::new(),
             in_flight: HashMap::new(),
+            free_workers: config.workers.max(1),
         };
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
@@ -295,7 +300,6 @@ impl Server {
             executor,
             lifecycle: Lifecycle::new(&telemetry),
             telemetry,
-            thread_budget,
             shutdown: Arc::new(AtomicBool::new(false)),
         });
         // Make the interrupted marks durable, and start the log over,
@@ -451,7 +455,9 @@ fn worker_loop(shared: &Shared) {
                         job.record.state = JobState::Running;
                         job.since = Instant::now();
                         shared.journal_locked(&job.record);
-                        break Some((id, job.record.spec.clone(), flag));
+                        let spec = job.record.spec.clone();
+                        st.free_workers -= 1;
+                        break Some((id, spec, flag));
                     }
                     continue; // cancelled while queued; nothing to run
                 }
@@ -474,8 +480,7 @@ fn worker_loop(shared: &Shared) {
             shared.config.default_timeout_ms
         };
         let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
-        let handle = JobHandle::new(id, flag, deadline, shared.spool_path(id))
-            .with_thread_budget(shared.thread_budget);
+        let handle = JobHandle::new(id, flag, deadline, shared.spool_path(id));
         // Supervision backstop: the executor already contains its own
         // panics, but even a broken executor must only fail this job.
         let outcome = catch_unwind(AssertUnwindSafe(|| shared.executor.run(&spec, &handle)))
@@ -647,7 +652,7 @@ fn submit(shared: &Shared, request: &Request, w: &mut TcpStream) {
             return;
         }
     }
-    if st.queue.len() >= shared.config.queue_capacity {
+    if st.queue.len() >= shared.config.queue_capacity + st.free_workers {
         drop(st);
         shared.telemetry.counter("serve.shed").inc();
         let _ = http::write_json(

@@ -229,6 +229,32 @@ fn full_queue_sheds_with_retry_after() {
 }
 
 #[test]
+fn free_workers_count_as_queue_room() {
+    let server = TestServer::start("handoff", |c| {
+        c.workers = 1;
+        c.queue_capacity = 0;
+    });
+    // With no queue, a submit is admitted only while the worker is free,
+    // even if it has not reached its first wait yet.
+    let (status, running) = server.submit(r#"{"experiment":"slow"}"#);
+    assert_eq!(status, 202, "{running}");
+    server.wait_for_state(job_id(&running), "running");
+    let (status, body) = server.submit(r#"{"experiment":"ok"}"#);
+    assert_eq!(status, 429, "a busy worker leaves no room: {body}");
+    let resp = client::request(
+        &server.addr,
+        "POST",
+        &format!("/jobs/{}/cancel", job_id(&running)),
+        None,
+    )
+    .expect("cancel");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    server.wait_for_state(job_id(&running), "cancelled");
+    let (status, body) = server.submit(r#"{"experiment":"ok"}"#);
+    assert_eq!(status, 202, "the worker is free again: {body}");
+}
+
+#[test]
 fn cancel_running_and_queued_jobs() {
     let server = TestServer::start("cancel", |c| {
         c.workers = 1;
