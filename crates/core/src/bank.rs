@@ -11,8 +11,9 @@
 //! * [`BatchLoop`](crate::batch::BatchLoop) owns a bank and advances all
 //!   of it per period, packing clean same-scheme domains into SoA lane
 //!   blocks internally (a bank-layout concern, not a caller one);
-//! * `clock-mesh` steps a bank in lockstep through a [`BankRunner`],
-//!   injecting inter-domain coupling between periods.
+//! * `clock-mesh` steps a bank in lockstep through one [`BankRunner`]
+//!   per shard ([`DomainBank::shards`]), injecting inter-domain coupling
+//!   between periods.
 //!
 //! All three paths share one per-period step body, `step_domain`: the
 //! clean recurrence and the faulted
@@ -232,25 +233,45 @@ impl DomainBank {
         }
     }
 
-    /// Begin a scalar per-period stepping session over the bank.
+    /// Begin a scalar per-period stepping session over the bank: the
+    /// one-shard case of [`shards`](Self::shards).
     pub fn runner(&mut self) -> BankRunner<'_> {
-        let paths = self.domains.iter().map(fault_path).collect();
-        let hist = self
-            .domains
-            .iter()
-            .map(|d| {
-                let mut h = Vec::with_capacity(64);
-                h.push(d.controller.length());
-                h
-            })
-            .collect();
-        let count = vec![0u64; self.domains.len()];
-        BankRunner {
-            bank: self,
-            paths,
-            hist,
-            count,
+        let len = self.len();
+        self.shards(&[0, len])
+            .pop()
+            .expect("one bound pair yields one shard")
+    }
+
+    /// Split the bank into independent stepping sessions over contiguous
+    /// domain ranges: shard `k` owns domains `bounds[k]..bounds[k + 1]`.
+    /// The shards borrow disjoint parts of the bank, so each can move to
+    /// its own thread; each credits its own domains' step counters when
+    /// dropped. Domain indices stay global: shard `k` is stepped with
+    /// `d ∈ bounds[k]..bounds[k + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` starts at 0, ends at [`len`](Self::len) and
+    /// is non-decreasing.
+    pub fn shards(&mut self, bounds: &[usize]) -> Vec<BankRunner<'_>> {
+        assert!(
+            bounds.first() == Some(&0)
+                && bounds.last() == Some(&self.len())
+                && bounds.windows(2).all(|w| w[0] <= w[1]),
+            "shard bounds must run non-decreasing from 0 to {}",
+            self.len()
+        );
+        let mut domains = self.domains.as_mut_slice();
+        let mut steps = self.steps.as_mut_slice();
+        let mut runners = Vec::with_capacity(bounds.len() - 1);
+        for w in bounds.windows(2) {
+            let (head, rest) = std::mem::take(&mut domains).split_at_mut(w[1] - w[0]);
+            let (count_head, count_rest) = std::mem::take(&mut steps).split_at_mut(w[1] - w[0]);
+            domains = rest;
+            steps = count_rest;
+            runners.push(BankRunner::new(head, count_head, w[0]));
         }
+        runners
     }
 }
 
@@ -274,20 +295,58 @@ pub struct BankStep {
 ///
 /// The runner owns the per-run state the recurrence needs: one
 /// [`FaultPath`] per faulted/hardened
-/// domain (rebuilt per session, exactly like the other engines) and the
-/// per-domain `l_RO` history the `n − mm` gather reads. Callers advance
-/// each domain with [`step`](Self::step), strictly in period order per
-/// domain; different domains may interleave freely, which is what lets
-/// the mesh step `N` coupled domains in lockstep. Dropping the runner
+/// domain (rebuilt per session, exactly like the other engines) and a
+/// fixed ring of each domain's recent `l_RO`, which the `n − mm` gather
+/// reads. It allocates only when it is created: stepping never does.
+/// Callers advance each domain with [`step`](Self::step), strictly in
+/// period order per domain; different domains may interleave freely,
+/// which is what lets the mesh step `N` coupled domains in lockstep. A
+/// runner covers either the whole bank ([`DomainBank::runner`]) or one
+/// contiguous shard of it ([`DomainBank::shards`]). Dropping the runner
 /// credits the stepped periods to the bank's lifetime counters.
 pub struct BankRunner<'a> {
-    bank: &'a mut DomainBank,
+    domains: &'a mut [Domain],
+    /// The bank's lifetime counters of exactly these domains.
+    steps: &'a mut [u64],
+    /// Global index of `domains[0]`.
+    base: usize,
     paths: Vec<Option<FaultPath>>,
-    /// `hist[d][k] = l_RO[k]`; entry 0 is the controller's output at
-    /// session start. Pre-start reads (`k < 0`) resolve to the domain's
-    /// initial length.
-    hist: Vec<Vec<f64>>,
+    /// `l_RO[i]` of local domain `k` at `hist[k · depth + (i & mask)]`,
+    /// for the last `depth` periods; slot 0 starts as the controller's
+    /// output at session start. Pre-start reads (`i < 0`) resolve to the
+    /// domain's initial length.
+    hist: Vec<f64>,
+    mask: usize,
+    /// Periods stepped this session per local domain: the next `n`.
     count: Vec<u64>,
+}
+
+/// Fewest periods of `l_RO` a [`BankRunner`] holds per domain (more when
+/// a domain's CDN depth needs it).
+pub const HISTORY: usize = 64;
+
+impl<'a> BankRunner<'a> {
+    fn new(domains: &'a mut [Domain], steps: &'a mut [u64], base: usize) -> Self {
+        let paths = domains.iter().map(fault_path).collect();
+        // The gather reads `l_RO[n − mm]` while `l_RO[n]` and `l_RO[n + 1]`
+        // are live, so the ring must span `mm + 2` periods.
+        let deepest = domains.iter().map(|d| d.m + 4).max().unwrap_or(0);
+        let depth = deepest.next_power_of_two().max(HISTORY);
+        let mut hist = vec![0.0; domains.len() * depth];
+        for (k, d) in domains.iter().enumerate() {
+            hist[k * depth] = d.controller.length();
+        }
+        let count = vec![0u64; domains.len()];
+        BankRunner {
+            domains,
+            steps,
+            base,
+            paths,
+            hist,
+            mask: depth - 1,
+            count,
+        }
+    }
 }
 
 impl BankRunner<'_> {
@@ -300,8 +359,9 @@ impl BankRunner<'_> {
     ///
     /// # Panics
     ///
-    /// Panics when `d` is out of range or `n` is not the domain's next
-    /// unstepped period (each domain must be stepped `n = 0, 1, 2, …`).
+    /// Panics when `d` is not one of this session's domains or `n` is not
+    /// the domain's next unstepped period (each domain must be stepped
+    /// `n = 0, 1, 2, …`).
     pub fn step(
         &mut self,
         d: usize,
@@ -311,24 +371,24 @@ impl BankRunner<'_> {
         e_n1: f64,
         mu_nmm: f64,
     ) -> BankStep {
-        let dom = &mut self.bank.domains[d];
-        let hist = &mut self.hist[d];
+        let k = d - self.base;
         assert_eq!(
-            n,
-            hist.len() as i64 - 1,
+            n, self.count[k] as i64,
             "domain {d} must be stepped in period order"
         );
+        let dom = &mut self.domains[k];
+        let row = k * (self.mask + 1);
         let mm = (dom.m + 2) as i64;
         let gen = n - mm;
         let lro_past = if gen < 0 {
             dom.initial_length
         } else {
-            hist[gen as usize]
+            self.hist[row + (gen as usize & self.mask)]
         };
         let (tau, delta, next) = step_domain(
             dom.quantization,
             &mut dom.controller,
-            self.paths[d].as_mut(),
+            self.paths[k].as_mut(),
             n,
             gen,
             lro_past,
@@ -337,9 +397,9 @@ impl BankRunner<'_> {
             mu_nmm,
             setpoint,
         );
-        let lro = hist[n as usize];
-        hist.push(next);
-        self.count[d] += 1;
+        let lro = self.hist[row + (n as usize & self.mask)];
+        self.hist[row + ((n + 1) as usize & self.mask)] = next;
+        self.count[k] += 1;
         BankStep {
             tau,
             delta,
@@ -349,23 +409,29 @@ impl BankRunner<'_> {
     }
 
     /// `l_RO[i]` of domain `d`: the initial length for `i < 0`, else the
-    /// recorded (or, for the latest entry, commanded) length. Valid up to
-    /// one past the domain's last stepped period.
+    /// recorded (or, for the latest entry, commanded) length. Valid for
+    /// the newest [`HISTORY`] (or more) periods, the newest being one past
+    /// the domain's last stepped period.
     ///
     /// # Panics
     ///
-    /// Panics when `i` exceeds the recorded history.
+    /// Panics when `i ≥ 0` lies outside that window.
     pub fn lro(&self, d: usize, i: i64) -> f64 {
+        let k = d - self.base;
         if i < 0 {
-            self.bank.domains[d].initial_length
-        } else {
-            self.hist[d][i as usize]
+            return self.domains[k].initial_length;
         }
+        let newest = self.count[k] as i64;
+        assert!(
+            i <= newest && newest - i <= self.mask as i64,
+            "l_RO[{i}] of domain {d} is outside the held history (newest {newest})"
+        );
+        self.hist[k * (self.mask + 1) + (i as usize & self.mask)]
     }
 
     /// Bank-held static variation offset of domain `d` (stages).
     pub fn variation(&self, d: usize) -> f64 {
-        self.bank.domains[d].variation
+        self.domains[d - self.base].variation
     }
 
     /// Whether any domain runs with a live fault path this session.
@@ -391,7 +457,7 @@ impl BankRunner<'_> {
 
 impl Drop for BankRunner<'_> {
     fn drop(&mut self) {
-        for (s, c) in self.bank.steps.iter_mut().zip(&self.count) {
+        for (s, c) in self.steps.iter_mut().zip(&self.count) {
             *s += c;
         }
     }
@@ -504,5 +570,88 @@ mod tests {
         assert_eq!(runner.variation(d), -3.5);
         let _ = runner.step(d, 0, 64.0, 0.0, 0.0, 0.0);
         assert_eq!(runner.lro(d, -1), 64.0);
+    }
+
+    /// The history window: the newest `HISTORY` periods read back, older
+    /// ones are refused.
+    #[test]
+    fn history_holds_a_window_of_recent_periods() {
+        let mut bank = DomainBank::new();
+        bank.push(1, iir(64), Quantization::Floor);
+        let mut runner = bank.runner();
+        let mut lro = Vec::new();
+        for n in 0..200 {
+            let e = if n % 17 == 0 { 5.0 } else { 0.0 };
+            lro.push(runner.step(0, n, 64.0, e, 0.0, 0.0).next);
+        }
+        // l_RO[i + 1] is the `next` of step i.
+        for i in 201 - HISTORY as i64..=200 {
+            assert_eq!(runner.lro(0, i).to_bits(), lro[i as usize - 1].to_bits());
+        }
+        assert_eq!(runner.lro(0, -3), 64.0);
+        let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runner.lro(0, 200 - HISTORY as i64)
+        }));
+        assert!(stale.is_err(), "a period older than the window is refused");
+    }
+
+    /// Shards step disjoint domain ranges with global indices and credit
+    /// exactly their own domains' counters; the results match one
+    /// whole-bank runner bit for bit.
+    #[test]
+    fn shards_match_the_whole_bank_runner() {
+        let build = || {
+            let mut bank = DomainBank::new();
+            for d in 0..5 {
+                bank.push_with(
+                    d % 3,
+                    iir(64),
+                    Quantization::Floor,
+                    clock_faults::FaultSchedule::default(),
+                    Resilience::hardened(64.0),
+                );
+            }
+            bank
+        };
+        let drive = |runner: &mut BankRunner<'_>, d: usize| -> Vec<u64> {
+            (0..40)
+                .map(|n| {
+                    let e = if n == 7 { -9.0 } else { 0.0 };
+                    runner
+                        .step(d, n, 64.0, e, 0.0, 0.5 * d as f64)
+                        .lro
+                        .to_bits()
+                })
+                .collect()
+        };
+        let mut whole = build();
+        let want: Vec<Vec<u64>> = {
+            let mut r = whole.runner();
+            (0..5).map(|d| drive(&mut r, d)).collect()
+        };
+        let mut bank = build();
+        {
+            let mut shards = bank.shards(&[0, 2, 2, 5]);
+            assert_eq!(shards.len(), 3);
+            for (k, range) in [(0, 0..2), (2, 2..5)] {
+                for d in range {
+                    assert_eq!(drive(&mut shards[k], d), want[d], "domain {d}");
+                }
+            }
+            drop(shards.remove(1));
+        }
+        assert_eq!(bank.total_steps(), 200);
+        for d in 0..5 {
+            assert_eq!(bank.steps(d), 40);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard bounds")]
+    fn shard_bounds_must_cover_the_bank() {
+        let mut bank = DomainBank::new();
+        bank.push(1, iir(64), Quantization::Floor);
+        bank.push(1, iir(64), Quantization::Floor);
+        let _ = bank.shards(&[0, 1]);
     }
 }

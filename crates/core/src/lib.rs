@@ -98,6 +98,7 @@ pub mod ro;
 pub mod setpoint;
 pub mod system;
 pub mod tdc;
+pub mod threads;
 
 pub use error::Error;
 pub use system::{RunTrace, Scheme, SystemBuilder};

@@ -992,6 +992,10 @@ pub struct CompareReport {
     pub entries: Vec<CompareEntry>,
     /// Baseline cases with a speedup that the current run does not have.
     pub missing: Vec<String>,
+    /// Context fields (`workers`, `quick`, `engine_rev`) on which the two
+    /// reports differ, each as `field (current X, baseline Y)`. Flagged,
+    /// not refused: such a comparison runs, but its verdict is weaker.
+    pub context_mismatch: Vec<String>,
 }
 
 impl CompareReport {
@@ -1038,7 +1042,34 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, noise: f64) -> Com
         noise,
         entries,
         missing,
+        context_mismatch: context_mismatch(current, baseline),
     }
+}
+
+/// The context fields on which `current` and `baseline` differ. A field
+/// the baseline left unknown (`workers` 0, empty `engine_rev`: reports
+/// written before those fields existed) is not a mismatch.
+fn context_mismatch(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
+    let mut fields = Vec::new();
+    if baseline.workers != 0 && current.workers != baseline.workers {
+        fields.push(format!(
+            "workers (current {}, baseline {})",
+            current.workers, baseline.workers
+        ));
+    }
+    if current.quick != baseline.quick {
+        fields.push(format!(
+            "quick (current {}, baseline {})",
+            current.quick, baseline.quick
+        ));
+    }
+    if !baseline.engine_rev.is_empty() && current.engine_rev != baseline.engine_rev {
+        fields.push(format!(
+            "engine_rev (current {}, baseline {})",
+            current.engine_rev, baseline.engine_rev
+        ));
+    }
+    fields
 }
 
 /// Render a [`CompareReport`] as an ASCII table with a verdict line.
@@ -1054,6 +1085,12 @@ pub fn render_compare(report: &CompareReport, baseline: &BenchReport) -> String 
         "baseline: {base_rev} @ git {git}, {} workers\n",
         baseline.workers
     ));
+    if !report.context_mismatch.is_empty() {
+        out.push_str(&format!(
+            "context mismatch: {}\n",
+            report.context_mismatch.join(", ")
+        ));
+    }
     let mut t = Table::new(vec![
         "case".to_owned(),
         "baseline x".to_owned(),
@@ -1335,5 +1372,50 @@ mod tests {
         let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE);
         assert_eq!(cmp.missing, vec!["b".to_owned()]);
         assert!(cmp.regressed(), "a vanished case counts as a regression");
+    }
+
+    #[test]
+    fn compare_flags_each_mismatched_context_field() {
+        let baseline = speedup_report(&[("a", 2.0)]);
+        let same = compare(&baseline, &baseline, DEFAULT_COMPARE_NOISE);
+        assert!(same.context_mismatch.is_empty());
+        assert!(!render_compare(&same, &baseline).contains("context mismatch"));
+
+        let mut current = baseline.clone();
+        current.workers = 2;
+        current.quick = true;
+        current.engine_rev = "other-engine".to_owned();
+        let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE);
+        assert_eq!(
+            cmp.context_mismatch,
+            vec![
+                "workers (current 2, baseline 4)".to_owned(),
+                "quick (current true, baseline false)".to_owned(),
+                "engine_rev (current other-engine, baseline test-engine)".to_owned(),
+            ]
+        );
+        assert!(!cmp.regressed(), "a mismatch is flagged, not a regression");
+        let text = render_compare(&cmp, &baseline);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("context mismatch: "))
+            .expect("the mismatch is rendered");
+        for field in ["workers", "quick", "engine_rev"] {
+            assert!(line.contains(field), "{field} named in {line:?}");
+        }
+        assert!(text.contains("verdict: no regression"));
+
+        // Unknown baseline context (old schema) is not a mismatch.
+        let mut old = baseline.clone();
+        old.workers = 0;
+        old.engine_rev = String::new();
+        let mut cur = baseline.clone();
+        cur.workers = 2;
+        let cmp = compare(&cur, &old, DEFAULT_COMPARE_NOISE);
+        assert!(
+            cmp.context_mismatch.is_empty(),
+            "{:?}",
+            cmp.context_mismatch
+        );
     }
 }

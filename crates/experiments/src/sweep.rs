@@ -1,6 +1,6 @@
 //! Parallel parameter sweeps over std scoped threads: a cost-modelled
 //! longest-job-first scheduler with cache short-circuiting, an optional
-//! live progress line on stderr, and a worker-count override.
+//! live progress line on stderr, and the shared worker-count override.
 //!
 //! # Scheduling
 //!
@@ -39,14 +39,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
+use adaptive_clock::threads::worker_count;
 use clock_telemetry::Telemetry;
+
+/// The worker-count override lives with the engines, where it also sizes
+/// the mesh shards; re-exported here for the sweeps' callers.
+pub use adaptive_clock::threads::{set_threads, thread_override};
 
 /// Process-wide switch for the live sweep progress line (off by default;
 /// the `repro` CLI turns it on for `--progress`).
 static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide worker-count override (0 = automatic).
-static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Enable or disable the live progress line printed by [`parallel_map`].
 pub fn set_progress(on: bool) {
@@ -56,32 +58,6 @@ pub fn set_progress(on: bool) {
 /// Whether the live progress line is currently enabled.
 pub fn progress_enabled() -> bool {
     PROGRESS.load(Ordering::Relaxed)
-}
-
-/// Override the sweep worker count (`repro --threads N` /
-/// `REPRO_THREADS`). `None` (or `Some(0)`) restores the automatic choice,
-/// `available_parallelism`. The effective count is always additionally
-/// clamped to the number of pending items.
-pub fn set_threads(n: Option<usize>) {
-    THREADS.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The current worker-count override, when one is set.
-pub fn thread_override() -> Option<usize> {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Workers to spawn for `pending` dispatchable items.
-fn worker_count(pending: usize) -> usize {
-    let base = thread_override().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-    base.min(pending).max(1)
 }
 
 /// Format one progress line: completed points, rate and ETA after `secs`

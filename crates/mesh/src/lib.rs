@@ -12,10 +12,12 @@
 //!   boundaries included, self-loops rejected;
 //! * a [`Mesh`] steps a whole
 //!   [`DomainBank`](adaptive_clock::bank::DomainBank) in lockstep through
-//!   the bank's scalar runner, injecting inter-domain coupling between
-//!   periods: each link advertises the producer's RO length as of
-//!   `delay + 1` periods ago, and the *relative skew* against the
-//!   consumer's own length perturbs the consumer's heterogeneous input;
+//!   the bank's scalar runner — one fused boundary-and-step pass per
+//!   consumer, sharded across the worker threads on large meshes —
+//!   injecting inter-domain coupling between periods: each link
+//!   advertises the producer's RO length as of `delay + 1` periods ago,
+//!   and the *relative skew* against the consumer's own length perturbs
+//!   the consumer's heterogeneous input;
 //! * every link is watched by a
 //!   [`BoundaryMonitor`](clock_metrics::BoundaryMonitor) that accounts
 //!   handshake violations and metastability risk, and implements the

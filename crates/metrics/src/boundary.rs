@@ -75,6 +75,11 @@ pub struct BoundaryMonitor {
     worst_skew: f64,
     min_slack: f64,
     risk_sum: f64,
+    /// Memo of the last `metastability_risk` evaluation: the slack's bits
+    /// and the risk it gave. A locked boundary repeats its slack almost
+    /// every period, so `exp` runs only when the slack changes.
+    memo_slack: u64,
+    memo_risk: f64,
     quarantined_at: Option<u64>,
 }
 
@@ -94,6 +99,9 @@ impl BoundaryMonitor {
             worst_skew: 0.0,
             min_slack: f64::INFINITY,
             risk_sum: 0.0,
+            // Seeded with a real evaluation, so the memo is never stale.
+            memo_slack: f64::NAN.to_bits(),
+            memo_risk: metastability_risk(f64::NAN, window),
             quarantined_at: None,
         }
     }
@@ -119,7 +127,11 @@ impl BoundaryMonitor {
         if slack < self.min_slack {
             self.min_slack = slack;
         }
-        self.risk_sum += metastability_risk(slack, self.window);
+        if slack.to_bits() != self.memo_slack {
+            self.memo_slack = slack.to_bits();
+            self.memo_risk = metastability_risk(slack, self.window);
+        }
+        self.risk_sum += self.memo_risk;
         if violation {
             self.violations += 1;
             self.consecutive += 1;
@@ -227,5 +239,46 @@ mod tests {
         assert_eq!(r.mean_metastability_risk, 0.0);
         assert_eq!(r.min_slack, 0.0);
         assert_eq!(r.quarantined_at, None);
+    }
+
+    /// The memoised risk changes no bit: a naive monitor that evaluates
+    /// `metastability_risk` on every sample reports the same sums, over
+    /// repeated, changing, zero, negative-zero and non-finite skews and
+    /// through the quarantine freeze.
+    #[test]
+    fn memoised_risk_matches_a_naive_per_sample_sum_bitwise() {
+        let (tolerance, window) = (4.0, 1.5);
+        let mut skews = vec![0.25, 0.25, 0.25, -0.25, 1.0, 1.0, 4.0, -4.0, 0.0, -0.0];
+        skews.extend([f64::NAN, 0.5, f64::INFINITY, f64::NEG_INFINITY, 0.5, 3.999]);
+        for k in 0..200 {
+            skews.push(f64::from(k % 7) * 0.375 - 1.0);
+        }
+        skews.extend([9.0, 9.0, 9.0, 0.25, -9.0, 0.0]);
+        for quarantine_after in [0, 3] {
+            let mut mon = BoundaryMonitor::new(tolerance, window, quarantine_after);
+            let (mut samples, mut risk_sum) = (0usize, 0.0f64);
+            for (n, &skew) in skews.iter().enumerate() {
+                let frozen = mon.quarantined();
+                mon.observe(n as u64, skew);
+                if !frozen {
+                    samples += 1;
+                    let m = skew.abs();
+                    let slack = if m.is_finite() {
+                        (tolerance - m).max(0.0)
+                    } else {
+                        0.0
+                    };
+                    risk_sum += metastability_risk(slack, window);
+                }
+                let r = mon.report();
+                assert_eq!(r.samples, samples);
+                assert_eq!(
+                    r.mean_metastability_risk.to_bits(),
+                    (risk_sum / samples as f64).to_bits(),
+                    "sample {n} (quarantine after {quarantine_after})"
+                );
+            }
+            assert_eq!(mon.quarantined(), quarantine_after > 0);
+        }
     }
 }
