@@ -7,9 +7,9 @@
 //! together in a structure-of-arrays layout:
 //!
 //! * e/μ input closures are **deduplicated by identity and sampled once
-//!   into a small ring buffer** of the few sequence rows the recurrence
-//!   can still read, so a sweep whose lanes share a variation source pays
-//!   for each closure row once, not once per lane;
+//!   per row into a small tile table** ([`TILE`] periods at a time), so a
+//!   sweep whose lanes share a variation source pays for each closure row
+//!   once, not once per lane;
 //! * clean lanes are packed into fixed-width **lane blocks** of
 //!   [`BLOCK_WIDTH`] and stepped by straight-line SoA kernels (the
 //!   private `blocked` submodule) that mirror the shared
@@ -20,8 +20,10 @@
 //!   and by the `batch_blocked_differential` proptest suite);
 //! * recorded signals land in flat `[n·B + lane]` arrays
 //!   ([`BatchTrace`]), with per-lane [`LoopTrace`] views for drop-in use;
+//! * the run is tile-major: each block steps a whole tile of periods with
+//!   its state in registers before the next block runs;
 //! * summary consumers (margin sweeps, Monte Carlo panels) can skip the
-//!   trace entirely: [`BatchLoop::run_summaries`] streams the same block
+//!   trace entirely: [`BatchLoop::run_summaries`] runs the same tile
 //!   loop into per-lane [`LaneSummary`] statistics, bit-identical to
 //!   summarizing a materialized trace but without the trace-store
 //!   bandwidth or allocation.
@@ -38,7 +40,7 @@ use crate::tdc::Quantization;
 
 mod blocked;
 
-pub use blocked::BLOCK_WIDTH;
+pub use blocked::{BLOCK_WIDTH, TILE};
 
 /// Per-lane controller state: exactly the shared kernel
 /// [`Controller`](crate::controller::Controller) enum. The alias survives
@@ -295,8 +297,11 @@ impl BatchLoop {
     }
 
     /// Attach an instrumentation handle (counts controller steps across
-    /// all lanes under `batch.controller_steps`, plus the block-engine
-    /// shape under `batch.blocks` / `batch.scalar_tail_lanes`).
+    /// all lanes under `batch.controller_steps`, the block-engine shape
+    /// under `batch.blocks` / `batch.scalar_tail_lanes`, and input
+    /// closure evaluations — unique closures × rows sampled — under
+    /// `batch.input_samples`; the `engine.batch` and
+    /// `engine.batch.summaries` spans carry the tile length as `tile`).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -366,12 +371,12 @@ impl BatchLoop {
     /// scalar [`DiscreteLoop`](crate::loopsim::DiscreteLoop) twin.
     ///
     /// The input closures are deduplicated by reference identity and
-    /// sampled once per unique closure per sequence row (into a
-    /// cache-resident ring of the rows the recurrence can still read), so
-    /// they must be pure functions of the row index — how many times and
-    /// in which order a closure is invoked is unspecified. Every closure
-    /// the engines accept already satisfies this; the scalar loop relies
-    /// on it too (it re-samples rows freely).
+    /// sampled once per unique closure per sequence row (into a small
+    /// table one [`TILE`] of periods at a time), so they must be pure
+    /// functions of the row index — how many times and in which order a
+    /// closure is invoked is unspecified (see [`LoopInputs`]). Every
+    /// closure the engines accept already satisfies this; the scalar loop
+    /// relies on it too (it re-samples rows freely).
     ///
     /// # Panics
     ///
@@ -428,9 +433,9 @@ impl BatchLoop {
     /// consumers that only read a handful of numbers per lane (margin
     /// sweeps, Monte Carlo sample panels).
     ///
-    /// The blocked engine runs the *same* gather/kernel/scatter loop as
+    /// The blocked engine runs the *same* tile loop as
     /// [`run`](Self::run) (they share one generic body); only the
-    /// destination of each period's staging rows differs. The returned
+    /// destination of each lane's results differs. The returned
     /// summaries are therefore **bit-identical** to
     /// `self.run(inputs, steps).summarize()` for every lane — blocked,
     /// scalar-tail, faulted or hardened — and the controller state
@@ -483,7 +488,7 @@ impl BatchLoop {
     ///
     /// Equivalent per-lane `constant(mu[k])` closures produce the same
     /// bits — the engine adds the identical f64 in the identical
-    /// association order — but cost one indirect call plus one ring
+    /// association order — but cost one indirect call plus one table
     /// store per lane per period on the general path, because per-lane
     /// closures are all distinct and cannot deduplicate. For a
     /// thousands-of-lanes sample panel that overhead is the difference
@@ -1065,15 +1070,22 @@ mod tests {
             })
             .collect();
         let _ = batch.run_summaries(&inputs, 40);
+        let _ = batch.run(&inputs, 40);
         let snap = t.snapshot();
         assert_eq!(
             snap.counter("batch.controller_steps"),
-            Some(((BLOCK_WIDTH + 1) * 40) as u64)
+            Some(((BLOCK_WIDTH + 1) * 80) as u64)
         );
-        assert!(t
-            .trace_spans()
-            .iter()
-            .any(|s| s.name == "engine.batch.summaries"));
+        // Both engine spans name the tile length the run was cut into.
+        let tile = ("tile".to_owned(), TILE.to_string());
+        for name in ["engine.batch.summaries", "engine.batch"] {
+            assert!(
+                t.trace_spans()
+                    .iter()
+                    .any(|s| s.name == name && s.attrs.contains(&tile)),
+                "{name} span with a tile attribute"
+            );
+        }
     }
 
     /// Enough same-scheme lanes to fill whole blocks *and* leave a tail:
@@ -1382,6 +1394,110 @@ mod tests {
         assert_eq!(merged, whole);
         assert_eq!(merged.lanes(), total);
         assert_eq!(merged.steps(), steps);
+    }
+
+    /// Every unique input closure is called exactly once per row it can
+    /// be read at — h/μ rows `−max_off ..= steps − 2`, set-point rows
+    /// `0 .. steps`, each in ascending order, the same calls a
+    /// period-by-period loop makes — across tile seams, on both sinks
+    /// and with a static μ; `batch.input_samples` counts those calls.
+    #[test]
+    fn each_unique_closure_is_sampled_once_per_row() {
+        use std::cell::RefCell;
+
+        /// A closure that logs every row it is asked for.
+        struct Logged(RefCell<Vec<i64>>);
+        impl Logged {
+            fn new() -> Logged {
+                Logged(RefCell::new(Vec::new()))
+            }
+            fn f(&self, value: f64) -> impl Fn(i64) -> f64 + '_ {
+                move |n| {
+                    self.0.borrow_mut().push(n);
+                    value + n as f64 * 1e-3
+                }
+            }
+            fn take(&self) -> Vec<i64> {
+                std::mem::take(&mut *self.0.borrow_mut())
+            }
+        }
+
+        let steps = 2 * TILE + 3;
+        let logs: Vec<Logged> = (0..5).map(|_| Logged::new()).collect();
+        let (sp, e, mu_a, mu_b, e_b) = (
+            logs[0].f(64.0),
+            logs[1].f(0.0),
+            logs[2].f(0.5),
+            logs[3].f(-0.5),
+            logs[4].f(0.25),
+        );
+        // Mixed m (max_off = 5), a faulted lane on the scalar path, two
+        // full blocks and a tail; lanes share closures in a pattern.
+        let mut batch = BatchLoop::new().with_telemetry(Telemetry::enabled());
+        let lanes = 2 * BLOCK_WIDTH + 2;
+        for k in 0..lanes {
+            let faults = if k == 3 {
+                clock_faults::FaultSchedule::random(
+                    7,
+                    clock_faults::FaultClass::ALL[0],
+                    40.0,
+                    steps as u64,
+                    2,
+                )
+            } else {
+                FaultSchedule::default()
+            };
+            batch.push_with(
+                k % 4,
+                LaneController::teatime(64, 1.0),
+                Quantization::Floor,
+                faults,
+                Resilience::default(),
+            );
+        }
+        let inputs: Vec<LoopInputs<'_>> = (0..lanes)
+            .map(|k| LoopInputs {
+                setpoint: &sp,
+                homogeneous: if k % 3 == 0 { &e_b } else { &e },
+                heterogeneous: if k % 2 == 0 { &mu_a } else { &mu_b },
+            })
+            .collect();
+        let max_off = 3 + 2;
+        let hmu_rows: Vec<i64> = (-max_off..=steps as i64 - 2).collect();
+        let sp_rows: Vec<i64> = (0..steps as i64).collect();
+        let samples = |batch: &BatchLoop| {
+            batch
+                .telemetry
+                .snapshot()
+                .counter("batch.input_samples")
+                .unwrap_or(0)
+        };
+
+        let mut counted = 0;
+        for traced in [true, false] {
+            if traced {
+                let _ = batch.run(&inputs, steps);
+            } else {
+                let _ = batch.run_summaries_after(&inputs, steps, TILE);
+            }
+            assert_eq!(logs[0].take(), sp_rows, "set-point rows (traced: {traced})");
+            for log in &logs[1..] {
+                assert_eq!(log.take(), hmu_rows, "h/mu rows (traced: {traced})");
+            }
+            counted += (4 * hmu_rows.len() + sp_rows.len()) as u64;
+            assert_eq!(samples(&batch), counted, "counter (traced: {traced})");
+        }
+
+        // Static μ: the μ closures are never called and never counted.
+        let mus: Vec<f64> = (0..lanes).map(|k| k as f64 * 0.1).collect();
+        let _ = batch.run_summaries_static(&sp, &e, &mus, steps, 0);
+        assert_eq!(logs[0].take(), sp_rows);
+        assert_eq!(logs[1].take(), hmu_rows);
+        for log in &logs[2..] {
+            assert!(log.take().is_empty());
+        }
+        counted += (hmu_rows.len() + sp_rows.len()) as u64;
+        assert_eq!(samples(&batch), counted);
     }
 
     #[test]

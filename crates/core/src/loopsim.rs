@@ -33,6 +33,13 @@ use crate::tdc::Quantization;
 
 /// Input sequences of the discrete loop. Functions are queried with signed
 /// indices; return the pre-start value for negative arguments.
+///
+/// Each closure must be **pure in `n`**: the same index always returns the
+/// same value, and a call has no effect another call could observe. The
+/// engines rely on this. The lane-block engine samples each unique
+/// closure once per row into a tile table ahead of the lanes that read
+/// it, and the scalar loop re-samples rows freely, so how many times and
+/// in which order a closure is invoked is unspecified.
 pub struct LoopInputs<'a> {
     /// Set-point sequence `c[n]`.
     pub setpoint: &'a dyn Fn(i64) -> f64,

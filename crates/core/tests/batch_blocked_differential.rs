@@ -10,7 +10,9 @@
 //! the generator stays in lock-step between the batch under test and the
 //! scalar twins.
 
-use adaptive_clock::batch::{BatchLoop, BatchTrace, LaneController, LaneSummary, BLOCK_WIDTH};
+use adaptive_clock::batch::{
+    BatchLoop, BatchTrace, LaneController, LaneSummary, BLOCK_WIDTH, TILE,
+};
 use adaptive_clock::controller::IirConfig;
 use adaptive_clock::loopsim::{constant, step_at, DiscreteLoop, LoopInputs, LoopTrace};
 use adaptive_clock::resilience::Resilience;
@@ -321,4 +323,266 @@ fn kitchen_sink_case_is_bit_exact() {
     // And once more with a warmup window.
     let warm = run_all_summaries(41, 0xDEAD_BEEF_CAFE_F00D, 100);
     assert_eq!(warm, got.summarize_after(100));
+}
+
+// --- Tile edges -----------------------------------------------------------
+//
+// The engine runs tile-major: `TILE` periods per block at a time, with the
+// input tables carrying the last `max_off − 1` rows across each seam. The
+// cases below put every seam the engine has under test: horizons around
+// one and two tiles and shorter than the deepest loop delay, warmups that
+// end mid-tile and on a tile boundary, blocks whose columns have
+// different `m`, per-lane μ closures, and a chained second run.
+
+/// How a tile-edge case builds its lanes.
+#[derive(Debug, Clone, Copy)]
+struct EdgeShape {
+    lanes: usize,
+    seed: u64,
+    /// `Some(scheme)`: every lane clean and of that scheme, `m = k mod 5`,
+    /// so full blocks form and each block's columns have different `m`.
+    /// `None`: the derived mixed specs (faults, hardening, tails).
+    uniform: Option<usize>,
+    /// One distinct μ closure per lane instead of mostly shared ones.
+    distinct_mu: bool,
+}
+
+impl EdgeShape {
+    fn specs(&self) -> Vec<LaneSpec> {
+        (0..self.lanes)
+            .map(|k| {
+                let mut spec = LaneSpec::derive(self.seed, k);
+                if let Some(scheme) = self.uniform {
+                    spec.scheme = scheme;
+                    spec.m = k % 5;
+                    spec.quant = Quantization::Floor;
+                    spec.faults = FaultSchedule::default();
+                    spec.resilience = Resilience::default();
+                }
+                spec
+            })
+            .collect()
+    }
+
+    fn mus(&self, specs: &[LaneSpec]) -> Vec<Option<MuFn>> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(k, spec)| {
+                if self.distinct_mu {
+                    let (amp, per) = (0.5 + k as f64 / 7.0, 13.0 + k as f64);
+                    Some(Box::new(move |n: i64| {
+                        amp * (std::f64::consts::TAU * n as f64 / per).sin()
+                    }) as MuFn)
+                } else {
+                    spec.mu_step.map(|amp| Box::new(step_at(25, amp)) as MuFn)
+                }
+            })
+            .collect()
+    }
+}
+
+fn batch_of(specs: &[LaneSpec]) -> BatchLoop {
+    let mut batch = BatchLoop::new();
+    for spec in specs {
+        batch.push_with(
+            spec.m,
+            spec.controller(),
+            spec.quant,
+            spec.faults.clone(),
+            spec.resilience,
+        );
+    }
+    batch
+}
+
+/// The margin fold of a scalar twin's trace over `warmup..`.
+fn twin_summary(trace: &LoopTrace, warmup: usize) -> LaneSummary {
+    let steps = trace.lro.len();
+    let (mut wne, mut wpe, mut sum) = (0.0f64, 0.0f64, 0.0f64);
+    for n in warmup..steps {
+        wne = wne.max(trace.delta[n]);
+        wpe = wpe.max(-trace.delta[n]);
+        sum += trace.lro[n];
+    }
+    let samples = steps - warmup;
+    LaneSummary {
+        samples: samples as u64,
+        mean_period: sum / samples as f64,
+        worst_negative_error: wne,
+        worst_positive_error: wpe,
+        last_lro: trace.lro[steps - 1],
+    }
+}
+
+fn assert_summary_bits(got: &LaneSummary, want: &LaneSummary, what: &str) {
+    assert_eq!(got.samples, want.samples, "{what}: samples");
+    for (a, b, field) in [
+        (got.mean_period, want.mean_period, "mean_period"),
+        (
+            got.worst_negative_error,
+            want.worst_negative_error,
+            "worst_negative_error",
+        ),
+        (
+            got.worst_positive_error,
+            want.worst_positive_error,
+            "worst_positive_error",
+        ),
+        (got.last_lro, want.last_lro, "last_lro"),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: {field}: {a} vs {b}");
+    }
+}
+
+/// Run `legs` back to back (each `(steps, warmup)`) on one traced batch,
+/// one traceless batch and per-lane `DiscreteLoop` twins, asserting every
+/// leg bit for bit on both sinks.
+fn check_edges(shape: EdgeShape, legs: &[(usize, usize)]) {
+    let specs = shape.specs();
+    let sp = constant(SETPOINT as f64);
+    let e = |n: i64| 7.3 * (std::f64::consts::TAU * n as f64 / 41.0).sin();
+    let zero = constant(0.0);
+    let mus = shape.mus(&specs);
+    let inputs: Vec<LoopInputs<'_>> = mus
+        .iter()
+        .map(|mu| LoopInputs {
+            setpoint: &sp,
+            homogeneous: &e,
+            heterogeneous: mu.as_deref().unwrap_or(&zero),
+        })
+        .collect();
+    let mut traced = batch_of(&specs);
+    let mut traceless = batch_of(&specs);
+    let mut twins: Vec<DiscreteLoop> = specs
+        .iter()
+        .map(|spec| {
+            DiscreteLoop::new(spec.m, spec.controller(), spec.quant)
+                .with_faults(spec.faults.clone())
+                .with_resilience(spec.resilience)
+        })
+        .collect();
+    for (leg, &(steps, warmup)) in legs.iter().enumerate() {
+        let got = traced.run(&inputs, steps);
+        let sums = traceless.run_summaries_after(&inputs, steps, warmup);
+        for (k, twin) in twins.iter_mut().enumerate() {
+            let want = twin.run(&inputs[k], steps);
+            let view = got.lane(k);
+            for n in 0..steps {
+                for (a, b, sig) in [
+                    (view.tau[n], want.tau[n], "tau"),
+                    (view.delta[n], want.delta[n], "delta"),
+                    (view.lro[n], want.lro[n], "lro"),
+                ] {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{shape:?} leg {leg} ({steps} steps) lane {k} {sig}[{n}]: {a} vs {b}"
+                    );
+                }
+            }
+            assert_summary_bits(
+                &sums[k],
+                &twin_summary(&want, warmup),
+                &format!("{shape:?} leg {leg} ({steps} steps, warmup {warmup}) lane {k}"),
+            );
+        }
+    }
+}
+
+/// Horizons that put the last tile seam everywhere it can fall, plus
+/// horizons shorter than the deepest loop delay (`m + 2` = 6 at `m = 4`).
+fn edge_horizon(pick: usize) -> usize {
+    match pick {
+        0 => TILE - 1,
+        1 => TILE,
+        2 => TILE + 1,
+        3 => 2 * TILE + 3,
+        p => p - 3, // 1 ..= 5: inside the pre-start window
+    }
+}
+
+/// A warmup for `steps`: zero, mid-tile, or exactly on a tile boundary.
+fn edge_warmup(steps: usize, pick: usize) -> usize {
+    let w = match pick {
+        0 => 0,
+        1 => TILE / 2 + 1,
+        2 => TILE,
+        _ => steps / 3,
+    };
+    if w < steps {
+        w
+    } else {
+        steps - 1
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every horizon and warmup seam, on uniform blocks with mixed `m`
+    /// and on mixed fault/tail batches, with shared or per-lane μ.
+    #[test]
+    fn tile_edges_match_scalar_twins_on_both_sinks(
+        lanes in 1usize..14,
+        seed in 0u64..u64::MAX,
+        horizon in 0usize..9,
+        warm in 0usize..4,
+        scheme in 0usize..5,
+        distinct_mu in 0usize..2,
+    ) {
+        let steps = edge_horizon(horizon);
+        let shape = EdgeShape {
+            lanes,
+            seed,
+            uniform: (scheme < 4).then_some(scheme),
+            distinct_mu: distinct_mu == 1,
+        };
+        check_edges(shape, &[(steps, edge_warmup(steps, warm))]);
+    }
+
+    /// A chained second run picks up the written-back controller state:
+    /// both legs straddle tile seams differently.
+    #[test]
+    fn chained_runs_across_tile_seams_match_scalar_twins(
+        lanes in 1usize..14,
+        seed in 0u64..u64::MAX,
+        first in 0usize..9,
+        second in 0usize..9,
+        scheme in 0usize..5,
+    ) {
+        let shape = EdgeShape {
+            lanes,
+            seed,
+            uniform: (scheme < 4).then_some(scheme),
+            distinct_mu: seed & 1 == 1,
+        };
+        let (a, b) = (edge_horizon(first), edge_horizon(second));
+        check_edges(shape, &[(a, edge_warmup(a, 1)), (b, edge_warmup(b, 2))]);
+    }
+}
+
+/// The deterministic corners, independent of the proptest draw: every
+/// scheme on full mixed-`m` blocks at each seam horizon, with a warmup
+/// on the first tile boundary and per-lane μ closures.
+#[test]
+fn every_scheme_at_every_seam_is_bit_exact() {
+    for scheme in 0..4 {
+        for horizon in 0..9 {
+            let steps = edge_horizon(horizon);
+            let shape = EdgeShape {
+                lanes: 2 * BLOCK_WIDTH + 1,
+                seed: 0x7117_E5EA_u64 + scheme as u64,
+                uniform: Some(scheme),
+                distinct_mu: true,
+            };
+            check_edges(
+                shape,
+                &[
+                    (steps, edge_warmup(steps, 2)),
+                    (TILE + 1, edge_warmup(TILE + 1, 1)),
+                ],
+            );
+        }
+    }
 }

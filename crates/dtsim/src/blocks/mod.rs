@@ -7,7 +7,6 @@
 mod arith;
 mod custom;
 mod delay;
-mod fault;
 mod filter;
 mod io;
 mod logic;
@@ -20,7 +19,6 @@ pub use arith::{
 };
 pub use custom::{FnBlock, StatefulFnBlock};
 pub use delay::{DelayN, TappedDelayLine, UnitDelay, VariableDelay};
-pub use fault::FaultPort;
 pub use filter::{FirFilter, IirFilter, Integrator};
 pub use io::{Inport, Subsystem};
 pub use logic::{Comparator, Counter, SampleHold, Switch};

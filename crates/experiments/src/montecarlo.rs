@@ -397,6 +397,44 @@ mod tests {
         }
     }
 
+    /// FNV-1a-style fold over every bit of every summary, in lane order.
+    fn digest(h: u64, summaries: &[LaneSummary]) -> u64 {
+        summaries.iter().fold(h, |h, s| {
+            [
+                s.samples,
+                s.mean_period.to_bits(),
+                s.worst_negative_error.to_bits(),
+                s.worst_positive_error.to_bits(),
+                s.last_lro.to_bits(),
+            ]
+            .iter()
+            .fold(h, |h, &w| (h ^ w).wrapping_mul(0x0000_0100_0000_01B3))
+        })
+    }
+
+    /// The traceless path's exact output for a small 3-scheme panel,
+    /// pinned bit for bit. The digest was recorded from the period-major
+    /// engine that preceded the tile-major one; the rendered `ext-yield`
+    /// table rounds to 4 decimals, so this is what catches a last-bit
+    /// change in any summary word.
+    #[test]
+    fn three_scheme_panel_digest_is_pinned() {
+        let t = Telemetry::disabled();
+        // Long enough to span several engine tiles, with a warmup that
+        // ends mid-tile; 37 lanes leave a scalar tail in every chunk.
+        let p = McPanel {
+            steps: 1000,
+            warmup: 130,
+            ..panel()
+        };
+        let h = SCHEMES.iter().fold(0xCBF2_9CE4_8422_2325, |h, &scheme| {
+            digest(h, &p.summaries(scheme, &t))
+        });
+        assert_eq!(h, PANEL_DIGEST, "panel digest {h:#018x}");
+    }
+
+    const PANEL_DIGEST: u64 = 0x266c_9e7b_effb_a250;
+
     #[test]
     fn panel_is_invariant_under_chunking_and_workers() {
         let t = Telemetry::disabled();

@@ -250,6 +250,31 @@ fn ext_mesh_quick_matches_the_golden_fixture() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `ext-yield --quick` reproduces its committed golden fixture byte for
+/// byte, cold through a cache and with one, on 1 and 2 workers: the one
+/// end-to-end pin on Monte Carlo panel output.
+#[test]
+fn ext_yield_quick_matches_the_golden_fixture() {
+    let golden = include_str!("../../../tests/golden/ext-yield-quick.txt");
+    let dir = std::env::temp_dir().join(format!("repro-cli-yield-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    for args in [
+        &["ext-yield", "--quick", "--no-cache", "--threads", "1"][..],
+        &["ext-yield", "--quick", "--no-cache", "--threads", "2"][..],
+        &["ext-yield", "--quick", "--cache", dir_s][..],
+    ] {
+        let out = repro(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert_eq!(
+            without_cache_line(&stdout(&out)),
+            without_cache_line(golden),
+            "{args:?} differs from tests/golden/ext-yield-quick.txt"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn no_cache_flag_overrides_the_environment_default() {
     let dir = std::env::temp_dir().join(format!("repro-cli-nocache-{}", std::process::id()));

@@ -21,8 +21,7 @@
 //!
 //! The crate is dependency-free and engine-agnostic: it answers point
 //! queries ("what strikes sensor 2 at period 417?") and leaves the physics
-//! of applying a fault to the engines (`adaptive_clock`) and the block
-//! library (`dtsim::blocks::FaultPort`).
+//! of applying a fault to the engines (`adaptive_clock`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
