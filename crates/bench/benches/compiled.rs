@@ -1,45 +1,15 @@
-//! Head-to-head benchmarks of the compiled sweep kernels: the enum-dispatch
-//! [`dtsim::CompiledSim`] against the boxed-trait interpreter on the Fig. 7
-//! workload, and the SoA [`BatchLoop`] against one-lane-at-a-time
-//! [`DiscreteLoop`] runs. These are the criterion counterparts of the
-//! `repro bench` cases that feed the committed `BENCH_*.json` trajectory.
+//! Head-to-head benchmarks of the batched loop kernels: the SoA
+//! [`BatchLoop`] against one-lane-at-a-time [`DiscreteLoop`] runs, and the
+//! blocked lane-block engine against the scalar SoA path. These are the
+//! criterion counterparts of the `repro bench` cases that feed the
+//! committed `BENCH_*.json` trajectory.
 
 use adaptive_clock::batch::BatchLoop;
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use experiments::bench::{build_fig7_workload, lane_specs, scaling_specs};
+use experiments::bench::{lane_specs, scaling_specs};
 use experiments::config::PaperParams;
 use std::hint::black_box;
-
-fn bench_fig7_engines(c: &mut Criterion) {
-    let params = PaperParams::default();
-    let n = 50_000u64;
-    let mut g = c.benchmark_group("fig7-engine");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("interpreted-50k", |b| {
-        b.iter(|| {
-            let mut sim = build_fig7_workload(&params);
-            sim.run(n).expect("workload stays finite");
-            black_box(sim.trace("bench_lro").map(|t| t.len()))
-        })
-    });
-    g.bench_function("compiled-50k", |b| {
-        b.iter(|| {
-            let mut sim = build_fig7_workload(&params).compile();
-            sim.run(n).expect("workload stays finite");
-            black_box(sim.trace("bench_lro").map(|t| t.len()))
-        })
-    });
-    g.bench_function("compiled-50k-no-check", |b| {
-        b.iter(|| {
-            let mut sim = build_fig7_workload(&params).compile();
-            sim.set_check_finite(false);
-            sim.run(n).expect("workload stays finite");
-            black_box(sim.trace("bench_lro").map(|t| t.len()))
-        })
-    });
-    g.finish();
-}
 
 fn bench_loop_batching(c: &mut Criterion) {
     let params = PaperParams::default();
@@ -130,10 +100,5 @@ fn bench_lane_blocks(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    compiled,
-    bench_fig7_engines,
-    bench_loop_batching,
-    bench_lane_blocks
-);
+criterion_group!(compiled, bench_loop_batching, bench_lane_blocks);
 criterion_main!(compiled);

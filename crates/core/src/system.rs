@@ -703,6 +703,49 @@ mod tests {
     }
 
     #[test]
+    fn small_domain_tolerates_faster_variation() {
+        // Fast HoDV: Te = 8c. Small domain t_clk = 0.25c, large t_clk = 4c
+        // (= Te/2, the Eq. 2 worst case).
+        let margin = |t_clk: f64| {
+            SystemBuilder::new(64)
+                .cdn_delay(t_clk)
+                .scheme(Scheme::FreeRo { extra_length: 0 })
+                .build()
+                .unwrap()
+                .run(&Harmonic::new(6.4, 8.0 * 64.0, 0.0), 6000)
+                .skip(500)
+                .worst_negative_error()
+        };
+        let (small, large) = (margin(16.0), margin(256.0));
+        assert!(
+            small < 0.6 * large,
+            "small domain margin {small} vs large {large}"
+        );
+    }
+
+    #[test]
+    fn period_spread_reflects_domain_conditions() {
+        // Two IIR domains with different static sensor mismatches settle at
+        // different mean periods; the hot one stretches its RO by ~8 stages.
+        let mean_period = |mu: f64| {
+            SystemBuilder::new(64)
+                .cdn_delay(64.0)
+                .scheme(Scheme::iir_paper())
+                .single_sensor_mu(mu)
+                .build()
+                .unwrap()
+                .run(&NoVariation, 3000)
+                .skip(1500)
+                .mean_period()
+        };
+        let spread = (mean_period(-8.0) - mean_period(0.0)).abs();
+        assert!(
+            (spread - 8.0).abs() < 1.5,
+            "expected ≈ 8 stages of spread, got {spread}"
+        );
+    }
+
+    #[test]
     fn canonical_ids_are_stable_and_distinct() {
         // These strings feed result-cache keys: they must never drift for a
         // given configuration, and distinct configurations must differ.

@@ -4,7 +4,6 @@
 use std::collections::VecDeque;
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// One-step delay: `y[n] = u[n-1]`, `y[0] = initial`.
 #[derive(Debug, Clone)]
@@ -46,12 +45,6 @@ impl Block for UnitDelay {
     }
     fn reset(&mut self) {
         self.state = self.initial;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::UnitDelay {
-            initial: self.initial,
-            state: self.state,
-        }
     }
 }
 
@@ -116,12 +109,6 @@ impl Block for DelayN {
         self.line.clear();
         self.line
             .extend(std::iter::repeat_n(self.initial, self.depth));
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::DelayN {
-            initial: self.initial,
-            line: self.line.iter().copied().collect(),
-        }
     }
 }
 
@@ -195,13 +182,6 @@ impl Block for VariableDelay {
         self.history
             .extend(std::iter::repeat_n(self.initial, self.max_depth + 1));
     }
-    fn lower(&self) -> Lowering {
-        Lowering::VariableDelay {
-            initial: self.initial,
-            max_depth: self.max_depth,
-            history: self.history.iter().copied().collect(),
-        }
-    }
 }
 
 /// Delay line exposing every tap as its own output port.
@@ -261,12 +241,6 @@ impl Block for TappedDelayLine {
         self.line.clear();
         self.line
             .extend(std::iter::repeat_n(self.initial, self.taps));
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::TappedDelayLine {
-            initial: self.initial,
-            line: self.line.iter().copied().collect(),
-        }
     }
 }
 

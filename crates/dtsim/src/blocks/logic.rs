@@ -1,7 +1,6 @@
 //! Decision and routing blocks.
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// Routes one of two signal inputs to the output based on a control input:
 /// `y = if ctrl >= threshold { u_true } else { u_false }`.
@@ -40,11 +39,6 @@ impl Block for Switch {
         } else {
             inputs[2]
         };
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Switch {
-            threshold: self.threshold,
-        }
     }
 }
 
@@ -104,12 +98,6 @@ impl Block for Comparator {
     fn reset(&mut self) {
         self.state_high = false;
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Comparator {
-            hysteresis: self.hysteresis,
-            state_high: self.state_high,
-        }
-    }
 }
 
 /// Free-running modulo counter: emits `0, 1, …, modulus−1, 0, …`, one
@@ -166,13 +154,6 @@ impl Block for Counter {
     fn reset(&mut self) {
         self.count = 0;
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Counter {
-            modulus: self.modulus,
-            gated: self.gated,
-            count: self.count,
-        }
-    }
 }
 
 /// Sample-and-hold: latches its input whenever the trigger input is
@@ -218,12 +199,6 @@ impl Block for SampleHold {
     }
     fn reset(&mut self) {
         self.held = self.initial;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::SampleHold {
-            initial: self.initial,
-            held: self.held,
-        }
     }
 }
 

@@ -1,7 +1,6 @@
 //! Nonlinear blocks.
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// Relay (Schmitt trigger): output switches to `on_value` when the input
 /// rises above `on_threshold` and back to `off_value` when it falls below
@@ -76,15 +75,6 @@ impl Block for Relay {
     fn reset(&mut self) {
         self.state_on = false;
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Relay {
-            on_threshold: self.on_threshold,
-            off_threshold: self.off_threshold,
-            on_value: self.on_value,
-            off_value: self.off_value,
-            state_on: self.state_on,
-        }
-    }
 }
 
 /// Dead zone: zero output inside `[-width, width]`, shifted identity outside.
@@ -128,9 +118,6 @@ impl Block for DeadZone {
         } else {
             0.0
         };
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::DeadZone { width: self.width }
     }
 }
 
@@ -186,14 +173,6 @@ impl Block for RateLimiter {
     }
     fn reset(&mut self) {
         self.prev = self.initial;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::RateLimiter {
-            rise: self.rise,
-            fall: self.fall,
-            initial: self.initial,
-            prev: self.prev,
-        }
     }
 }
 

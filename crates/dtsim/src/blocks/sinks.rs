@@ -1,7 +1,6 @@
 //! Sink blocks.
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 use crate::trace::Trace;
 
 /// Records its input signal every step.
@@ -45,11 +44,6 @@ impl Block for Probe {
     fn trace(&self) -> Option<&Trace> {
         Some(&self.trace)
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Probe {
-            trace: self.trace.clone(),
-        }
-    }
 }
 
 /// Swallows a signal (for outputs that must be connected nowhere).
@@ -76,9 +70,6 @@ impl Block for Terminator {
         0
     }
     fn output(&mut self, _ctx: &StepContext, _inputs: &[f64], _outputs: &mut [f64]) {}
-    fn lower(&self) -> Lowering {
-        Lowering::Terminator
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,11 @@
 //! non-feedthrough block (e.g. a [`blocks::UnitDelay`]); a purely
 //! combinational cycle is an *algebraic loop* and is rejected at build time.
 //!
+//! [`Simulation`] is the crate's one engine: an interpreter that calls each
+//! boxed block in schedule order. Its consumer is the cross-validation in
+//! `adaptive_clock::dtmodel`, which builds the paper's Fig. 4 loop as a
+//! block diagram and checks it sample for sample against the discrete loop.
+//!
 //! # Example
 //!
 //! A discrete accumulator `y[n] = y[n-1] + u[n-1]` built from a sum and a
@@ -48,19 +53,16 @@
 
 mod block;
 pub mod blocks;
-pub mod compiled;
 mod error;
 mod graph;
 mod sim;
 mod trace;
 
 pub use block::{Block, StepContext};
-pub use compiled::{CompiledSim, Lowering};
 pub use error::Error;
 pub use graph::{BlockId, GraphBuilder, PortRef};
 
-/// Numeric-behaviour revision of this engine (both the interpreter and
-/// [`CompiledSim`], which are bit-identical by contract).
+/// Numeric-behaviour revision of this engine.
 ///
 /// Result caches mix this into their content keys; bump it only when a
 /// change alters the numbers an identical graph produces, so stale cached

@@ -11,7 +11,7 @@ pub(crate) struct Connection {
     pub(crate) dst_slot: usize,
 }
 
-/// Static shape of a compiled simulation graph.
+/// Static shape of a built simulation graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Number of blocks in the graph.
@@ -56,22 +56,6 @@ struct Profiler {
     steps: u64,
 }
 
-/// The dismantled internals of a [`Simulation`], handed to the compiling
-/// engine (`crate::compiled`). Field meanings match the `Simulation` fields
-/// they are moved out of.
-pub(crate) struct SimParts {
-    pub(crate) blocks: Vec<Box<dyn Block>>,
-    pub(crate) order: Vec<usize>,
-    pub(crate) fanout: Vec<Vec<Connection>>,
-    pub(crate) input_offsets: Vec<usize>,
-    pub(crate) output_offsets: Vec<usize>,
-    pub(crate) inputs: Vec<f64>,
-    pub(crate) outputs: Vec<f64>,
-    pub(crate) ctx: StepContext,
-    pub(crate) check_finite: bool,
-    pub(crate) telemetry: Telemetry,
-}
-
 /// An executable discrete-time model produced by
 /// [`GraphBuilder::build`](crate::GraphBuilder::build).
 ///
@@ -89,7 +73,6 @@ pub struct Simulation {
     inputs: Vec<f64>,
     outputs: Vec<f64>,
     ctx: StepContext,
-    check_finite: bool,
     profiler: Option<Profiler>,
     telemetry: Telemetry,
 }
@@ -136,7 +119,6 @@ impl Simulation {
             inputs: vec![0.0; n_in],
             outputs: vec![0.0; n_out],
             ctx: StepContext::initial(1.0),
-            check_finite: true,
             profiler: None,
             telemetry: Telemetry::disabled(),
         }
@@ -147,23 +129,6 @@ impl Simulation {
     /// default) keeps the engine span-free.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Move the simulation's internals out, for lowering into a
-    /// [`crate::compiled::CompiledSim`].
-    pub(crate) fn into_parts(self) -> SimParts {
-        SimParts {
-            blocks: self.blocks,
-            order: self.order,
-            fanout: self.fanout,
-            input_offsets: self.input_offsets,
-            output_offsets: self.output_offsets,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            ctx: self.ctx,
-            check_finite: self.check_finite,
-            telemetry: self.telemetry,
-        }
     }
 
     /// Enable or disable per-block wall-clock profiling. Enabling resets
@@ -177,7 +142,7 @@ impl Simulation {
         });
     }
 
-    /// Static shape of the compiled graph (always available).
+    /// Static shape of the built graph (always available).
     pub fn schedule_stats(&self) -> ScheduleStats {
         ScheduleStats {
             blocks: self.blocks.len(),
@@ -225,11 +190,6 @@ impl Simulation {
         self.ctx.dt = dt;
     }
 
-    /// Disable the per-step non-finite signal check (slightly faster).
-    pub fn set_check_finite(&mut self, check: bool) {
-        self.check_finite = check;
-    }
-
     /// Current step index (number of completed steps).
     pub fn step_count(&self) -> u64 {
         self.ctx.step
@@ -244,8 +204,7 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonFiniteSignal`] if a block outputs NaN/∞ while the
-    /// finite check is enabled.
+    /// Returns [`Error::NonFiniteSignal`] if a block outputs NaN/∞.
     pub fn step(&mut self) -> Result<(), Error> {
         let dt = self.ctx.dt;
         self.step_with_dt(dt)
@@ -256,8 +215,7 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonFiniteSignal`] if a block outputs NaN/∞ while the
-    /// finite check is enabled.
+    /// Returns [`Error::NonFiniteSignal`] if a block outputs NaN/∞.
     pub fn step_with_dt(&mut self, dt: f64) -> Result<(), Error> {
         // Bind the profiler once for the whole step: moving it out lets the
         // profiled path hold a plain `&mut Profiler` instead of re-looking
@@ -287,15 +245,13 @@ impl Simulation {
             let inputs = &self.inputs[in_off..in_off + n_in];
             let outputs = &mut self.outputs[out_off..out_off + n_out];
             self.blocks[b].output(&self.ctx, inputs, outputs);
-            if self.check_finite {
-                for (pi, v) in outputs.iter().enumerate() {
-                    if !v.is_finite() {
-                        return Err(Error::NonFiniteSignal {
-                            block: self.blocks[b].name().to_owned(),
-                            port: pi,
-                            step: self.ctx.step,
-                        });
-                    }
+            for (pi, v) in outputs.iter().enumerate() {
+                if !v.is_finite() {
+                    return Err(Error::NonFiniteSignal {
+                        block: self.blocks[b].name().to_owned(),
+                        port: pi,
+                        step: self.ctx.step,
+                    });
                 }
             }
             // Propagate along this block's precomputed fan-out.
@@ -331,15 +287,13 @@ impl Simulation {
             let t0 = std::time::Instant::now();
             self.blocks[b].output(&self.ctx, inputs, outputs);
             p.block_ns[b] += t0.elapsed().as_nanos() as u64;
-            if self.check_finite {
-                for (pi, v) in outputs.iter().enumerate() {
-                    if !v.is_finite() {
-                        return Err(Error::NonFiniteSignal {
-                            block: self.blocks[b].name().to_owned(),
-                            port: pi,
-                            step: self.ctx.step,
-                        });
-                    }
+            for (pi, v) in outputs.iter().enumerate() {
+                if !v.is_finite() {
+                    return Err(Error::NonFiniteSignal {
+                        block: self.blocks[b].name().to_owned(),
+                        port: pi,
+                        step: self.ctx.step,
+                    });
                 }
             }
             for c in &self.fanout[b] {

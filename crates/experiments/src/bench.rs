@@ -1,36 +1,32 @@
 //! Machine-readable performance benchmarks for the simulation engines.
 //!
-//! Three head-to-head comparisons, each reported as steps/second and wall
+//! Seven head-to-head comparisons, each reported as steps/second and wall
 //! milliseconds:
 //!
-//! 1. **compiled vs interpreted `dtsim`** — the Fig. 7 workload (the
-//!    paper's Fig. 4 loop with the Fig. 5 IIR diagram inlined as primitive
-//!    blocks) run on the boxed-trait interpreter and on
-//!    [`dtsim::CompiledSim`];
-//! 2. **batched vs sequential discrete loops** — a bank of Fig. 4
+//! 1. **batched vs sequential discrete loops** — a bank of Fig. 4
 //!    recurrences advanced one [`DiscreteLoop`] at a time versus all lanes
 //!    in lock-step through the SoA [`BatchLoop`] engine;
-//! 3. **warm-started vs classic Fig. 9 panel** — [`fig9::run_panel`]
+//! 2. **warm-started vs classic Fig. 9 panel** — [`fig9::run_panel`]
 //!    against the coarse-to-fine [`fig9::run_panel_fast`], with the
 //!    warm-up samples saved by the warm starts read back off the
 //!    `margin_search.iterations_saved` telemetry counter;
-//! 4. **cold vs warm result cache** — the same Fig. 9 panel through
+//! 3. **cold vs warm result cache** — the same Fig. 9 panel through
 //!    [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
 //!    empty and a fully-populated on-disk store;
-//! 5. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
+//! 4. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
 //!    few heavy items parked at the end of the grid, scheduled in submission
 //!    order versus by descending cost hint;
-//! 6. **lane-count scaling** — the mixed-scheme lane bank at
+//! 5. **lane-count scaling** — the mixed-scheme lane bank at
 //!    B ∈ {4, 16, 64, 256}: sequential `DiscreteLoop` runs vs the scalar
 //!    SoA loop (`run_scalar`) vs the blocked lane-block engine (`run`),
 //!    plus the multi-threaded lane-chunk dispatcher at 64+ lanes;
-//! 7. **traceless summaries & Monte Carlo** — the summary-only block
+//! 6. **traceless summaries & Monte Carlo** — the summary-only block
 //!    path ([`BatchLoop::run_summaries`]) against the traced blocked
 //!    engine on the same bank, and the traceless
 //!    [`McPanel`] against the per-instance
 //!    pre-batch harness (one `System` event-loop run per sampled
 //!    instance, the `runner::run_scheme` shape);
-//! 8. **domain-bank scaling** — N uniform IIR clock domains at
+//! 7. **domain-bank scaling** — N uniform IIR clock domains at
 //!    N ∈ {16, 64, 256}: one `DiscreteLoop` object per domain (the
 //!    pre-bank ownership shape) versus the same domains as a single
 //!    [`DomainBank`](adaptive_clock::bank::DomainBank) behind the
@@ -50,10 +46,6 @@ use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::system::{Scheme as SystemScheme, SystemBuilder};
 use adaptive_clock::tdc::Quantization;
 use clock_telemetry::Telemetry;
-use dtsim::blocks::{
-    Constant, DelayN, Gain, Probe, Quantizer, Rounding, Sine, Sum, TappedDelayLine, UnitDelay,
-};
-use dtsim::{GraphBuilder, Simulation};
 use variation::process::ProcessSpec;
 use variation::sources::Harmonic;
 
@@ -69,7 +61,7 @@ use crate::sweep::{parallel_map, parallel_map_planned, Plan};
 /// One timed benchmark case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchEntry {
-    /// Case id (`"dtsim-compiled"`, `"fig9-warm-panel"`, …).
+    /// Case id (`"loop-batched"`, `"fig9-warm-panel"`, …).
     pub name: String,
     /// What was run, in words.
     pub detail: String,
@@ -180,92 +172,6 @@ pub fn git_revision() -> Option<String> {
     (!rev.is_empty()).then_some(rev)
 }
 
-/// Build the Fig. 7 workload as a fully-primitive `dtsim` graph: the
-/// paper's Fig. 4 loop (CDN delay `M = 1`, TDC floor quantization, HoDV
-/// sine, static mismatch) with the Fig. 5 IIR control filter inlined as
-/// gains, sums and delays. Every block lowers to a compiled opcode, so the
-/// same graph exercises both engines end to end.
-pub fn build_fig7_workload(params: &PaperParams) -> Simulation {
-    let c = params.setpoint as f64;
-    let config = IirConfig::paper();
-    let taps = config.taps_f64();
-    let kexp = 2f64.powi(config.kexp_exp as i32);
-    let k_star = config.k_star_f64();
-    let depth = 3; // M + 2 with M = 1 (t_clk = c)
-
-    let mut g = GraphBuilder::new();
-    let c_src = g.add(Constant::new("c", c));
-    // HoDV: amplitude 0.2c, period 50 clock periods (one step = one period).
-    let e_src = g.add(Sine::new("e", params.amplitude(), 50.0, 0.0));
-    let mu_src = g.add(Constant::new("mu", 0.05 * c));
-
-    let cdn = g.add(DelayN::new("cdn", depth, c));
-    let e_gen_delay = g.add(DelayN::new("e_gen_delay", depth, 0.0));
-    let e_meas_delay = g.add(UnitDelay::new("e_meas_delay", 0.0));
-    let mu_delay = g.add(DelayN::new("mu_delay", depth, 0.0));
-
-    // τ[n] = l_RO[n−M−2] + e[n−M−2] − e[n−1] + μ[n−M−2], floor-quantized.
-    let tau = g.add(Sum::new("tau", "++-+"));
-    let tdc = g.add(Quantizer::new("tdc", 1.0, Rounding::Floor));
-    let delta = g.add(Sum::new("delta", "+-"));
-
-    // Fig. 5 filter: δ·kexp feeds the adder, w = z⁻¹ of k*·(x + Σ kᵢ·wᵢ),
-    // output l_RO = c + w/kexp.
-    let kexp_gain = g.add(Gain::new("kexp", kexp));
-    let signs = "+".repeat(1 + taps.len());
-    let adder = g.add(Sum::new("adder", &signs));
-    let kstar_gain = g.add(Gain::new("k_star", k_star));
-    let w_reg = g.add(UnitDelay::new("w", 0.0));
-    let out_gain = g.add(Gain::new("kexp_inv", 1.0 / kexp));
-    let base = g.add(Constant::new("base", c));
-    let lro = g.add(Sum::new("lro", "++"));
-
-    let p_tau = g.add(Probe::new("bench_tau"));
-    let p_delta = g.add(Probe::new("bench_delta"));
-    let p_lro = g.add(Probe::new("bench_lro"));
-
-    let wire = |g: &mut GraphBuilder, a, ap, b, bp| {
-        g.connect(a, ap, b, bp)
-            .expect("bench workload wiring is statically correct");
-    };
-    wire(&mut g, lro, 0, cdn, 0);
-    wire(&mut g, e_src, 0, e_gen_delay, 0);
-    wire(&mut g, e_src, 0, e_meas_delay, 0);
-    wire(&mut g, mu_src, 0, mu_delay, 0);
-    wire(&mut g, cdn, 0, tau, 0);
-    wire(&mut g, e_gen_delay, 0, tau, 1);
-    wire(&mut g, e_meas_delay, 0, tau, 2);
-    wire(&mut g, mu_delay, 0, tau, 3);
-    wire(&mut g, tau, 0, tdc, 0);
-    wire(&mut g, c_src, 0, delta, 0);
-    wire(&mut g, tdc, 0, delta, 1);
-    wire(&mut g, delta, 0, kexp_gain, 0);
-    wire(&mut g, kexp_gain, 0, adder, 0);
-    wire(&mut g, adder, 0, kstar_gain, 0);
-    wire(&mut g, kstar_gain, 0, w_reg, 0);
-    wire(&mut g, w_reg, 0, out_gain, 0);
-    wire(&mut g, base, 0, lro, 0);
-    wire(&mut g, out_gain, 0, lro, 1);
-
-    // Tap bank: k1 reads w[n] directly, k2.. read the delay line on w.
-    let k1 = g.add(Gain::new("k1", taps[0]));
-    wire(&mut g, w_reg, 0, k1, 0);
-    wire(&mut g, k1, 0, adder, 1);
-    let tdl = g.add(TappedDelayLine::new("w_taps", taps.len() - 1, 0.0));
-    wire(&mut g, w_reg, 0, tdl, 0);
-    for (i, &k) in taps.iter().enumerate().skip(1) {
-        let tap_gain = g.add(Gain::new(format!("k{}", i + 1), k));
-        wire(&mut g, tdl, i - 1, tap_gain, 0);
-        wire(&mut g, tap_gain, 0, adder, i + 1);
-    }
-
-    wire(&mut g, tdc, 0, p_tau, 0);
-    wire(&mut g, delta, 0, p_delta, 0);
-    wire(&mut g, lro, 0, p_lro, 0);
-
-    g.build().expect("bench workload is well-formed")
-}
-
 /// The bank of discrete-loop lanes the batching benchmark advances: all
 /// four controller kinds across CDN depths `M ∈ {0, 1, 2}`. Public so the
 /// criterion harness (`benches/compiled.rs`) times the identical bank.
@@ -356,43 +262,7 @@ fn entry(name: &str, detail: &str, steps: u64, wall_ms: f64) -> BenchEntry {
 pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     let mut entries = Vec::new();
 
-    // 1. Fig. 7 workload: interpreted vs compiled dtsim. Each rep runs a
-    // freshly built engine so probe traces don't accumulate across reps.
-    let dt_steps: u64 = if quick { 100_000 } else { 1_000_000 };
-    let interp_ms = best_ms(REPS, || {
-        let mut sim = build_fig7_workload(params);
-        time_ms(|| {
-            sim.run(dt_steps).expect("bench workload stays finite");
-        })
-    });
-    let compiled_ms = best_ms(REPS, || {
-        let mut sim = build_fig7_workload(params).compile();
-        time_ms(|| {
-            sim.run(dt_steps).expect("bench workload stays finite");
-        })
-    });
-    let stats = build_fig7_workload(params).compile().schedule_stats();
-    let detail = format!(
-        "Fig. 7 workload ({} blocks, {} connections) for {dt_steps} steps",
-        stats.blocks, stats.connections,
-    );
-    entries.push(entry(
-        "dtsim-interpreted",
-        &format!("{detail} on the boxed-trait interpreter"),
-        dt_steps,
-        interp_ms,
-    ));
-    let mut e = entry(
-        "dtsim-compiled",
-        &format!("{detail} on the enum-dispatch CompiledSim"),
-        dt_steps,
-        compiled_ms,
-    );
-    e.baseline = Some("dtsim-interpreted".to_owned());
-    e.speedup = Some(interp_ms / compiled_ms.max(1e-12));
-    entries.push(e);
-
-    // 2. Discrete-loop bank: sequential DiscreteLoop vs SoA BatchLoop.
+    // 1. Discrete-loop bank: sequential DiscreteLoop vs SoA BatchLoop.
     let c = params.setpoint;
     let loop_steps: usize = if quick { 20_000 } else { 200_000 };
     let specs = lane_specs(c);
@@ -460,7 +330,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(seq_ms / batch_ms.max(1e-12));
     entries.push(e);
 
-    // 3. Fig. 9 panel: classic cold sweep vs coarse-to-fine warm starts.
+    // 2. Fig. 9 panel: classic cold sweep vs coarse-to-fine warm starts.
     let points = if quick { 5 } else { 9 };
     let (t_clk, te) = (1.0, 37.5);
     let samples = params.samples_for(te) as u64;
@@ -508,7 +378,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.iterations_saved = Some(saved);
     entries.push(e);
 
-    // 4. The same Fig. 9 panel through the result cache: every grid point
+    // 3. The same Fig. 9 panel through the result cache: every grid point
     // a miss (cold store, fresh dir per rep) vs every point a hit (store
     // populated once, reopened per rep so hits pay the disk read + decode,
     // not just the in-memory read-through).
@@ -559,7 +429,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(cold_ms / warm_ms.max(1e-12));
     entries.push(e);
 
-    // 5. Dispatch policy on a deliberately unbalanced sweep: a few heavy
+    // 4. Dispatch policy on a deliberately unbalanced sweep: a few heavy
     // items parked at the *end* of the grid, where submission-order (FIFO)
     // dispatch strands them on a late worker while longest-job-first
     // starts them immediately.
@@ -625,7 +495,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(fifo_ms / ljf_ms.max(1e-12));
     entries.push(e);
 
-    // 6. Lane-count scaling: the mixed-scheme bank at B lanes through
+    // 5. Lane-count scaling: the mixed-scheme bank at B lanes through
     // three engines — one DiscreteLoop at a time, the scalar SoA loop,
     // and the blocked lane-block engine — plus the multi-threaded
     // lane-chunk dispatcher at 64+ lanes. All lanes share the setpoint
@@ -743,7 +613,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         }
     }
 
-    // 7. Summary path & Monte Carlo: the traceless summary engine
+    // 6. Summary path & Monte Carlo: the traceless summary engine
     // against the traced blocked path on the same mixed bank, and the
     // traceless Monte Carlo panel against the per-instance pre-batch
     // harness (one full `System` event-loop run per sampled instance —
@@ -765,7 +635,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     for (m, ctrl, q) in scaling_specs(c, 0..sum_lanes) {
         traced.push(m, ctrl, q);
     }
-    // Steady-state trace recycling, as in section 2: the traced side is
+    // Steady-state trace recycling, as in section 1: the traced side is
     // charged for stepping + summarizing, not for first-touch faults on
     // a fresh trace allocation.
     let mut traced_spare = BatchTrace::default();
@@ -881,7 +751,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(mc_naive_ms / mc_traceless_ms.max(1e-12));
     entries.push(e);
 
-    // 8. Domain-bank scaling: N independent clock domains advanced as N
+    // 7. Domain-bank scaling: N independent clock domains advanced as N
     // sequential DiscreteLoops (the pre-refactor ownership shape: one
     // loop object per domain, each materializing its own trace) versus
     // the same N domains held in one DomainBank and folded through the
@@ -1150,7 +1020,7 @@ pub fn render(report: &BenchReport) -> String {
     let mode = if report.quick { " (quick)" } else { "" };
     format!(
         "Engine benchmarks{mode} — c = {}\n\n{}\nspeedup is baseline wall time over case wall time \
-         (dtsim: interpreted/compiled; loops: sequential/batched; fig9: cold/warm-started).\n",
+         (loops: sequential/batched; fig9: cold/warm-started).\n",
         report.setpoint,
         t.render()
     )
@@ -1160,50 +1030,12 @@ pub fn render(report: &BenchReport) -> String {
 mod tests {
     use super::*;
 
-    /// The benchmark graph must behave identically on both engines —
-    /// otherwise the speedup comparison is meaningless.
-    #[test]
-    fn workload_compiled_matches_interpreted_bitwise() {
-        let params = PaperParams::default();
-        let mut interp = build_fig7_workload(&params);
-        let mut compiled = build_fig7_workload(&params).compile();
-        assert_eq!(compiled.boxed_count(), 0, "workload must fully lower");
-        interp.run(3000).expect("interpreted run stays finite");
-        compiled.run(3000).expect("compiled run stays finite");
-        for probe in ["bench_tau", "bench_delta", "bench_lro"] {
-            assert_eq!(
-                interp.trace(probe),
-                compiled.trace(probe),
-                "trace {probe} diverged"
-            );
-        }
-    }
-
-    /// The closed loop must actually regulate: τ is held near the
-    /// set-point despite the HoDV and the mismatch.
-    #[test]
-    fn workload_loop_locks_onto_setpoint() {
-        let params = PaperParams::default();
-        let mut sim = build_fig7_workload(&params).compile();
-        sim.run(4000).expect("clean run");
-        let tau = sim.trace("bench_tau").expect("probe present");
-        let tail = &tau.samples()[2000..];
-        let c = params.setpoint as f64;
-        let worst = tail.iter().map(|t| (t - c).abs()).fold(0.0, f64::max);
-        assert!(
-            worst < 0.5 * c,
-            "loop failed to regulate: worst |tau - c| = {worst}"
-        );
-    }
-
     #[test]
     fn quick_report_is_complete_and_serializable() {
         let params = PaperParams::default();
         let report = run(&params, true);
         assert!(report.quick);
         for name in [
-            "dtsim-interpreted",
-            "dtsim-compiled",
             "loop-sequential",
             "loop-batched",
             "fig9-classic-panel",
@@ -1241,7 +1073,7 @@ mod tests {
             assert!(e.steps > 0, "{name}: no steps");
             assert!(e.steps_per_sec > 0.0, "{name}: zero rate");
         }
-        assert!(report.entry("dtsim-compiled").unwrap().speedup.is_some());
+        assert!(report.entry("loop-batched").unwrap().speedup.is_some());
         assert!(report.entry("fig9-warm-cache").unwrap().speedup.is_some());
         assert!(report.entry("sweep-ljf").unwrap().speedup.is_some());
         for (fast, base) in [
@@ -1269,7 +1101,7 @@ mod tests {
             assert!(bank.speedup.is_some(), "bank {domains} must be gated");
         }
         // Dispatch timings deliberately carry no speedup: the ratio would
-        // compare host core counts, not code (see the section 6 comment).
+        // compare host core counts, not code (see the section 5 comment).
         assert!(report
             .entry("lanes-064-dispatch")
             .unwrap()
@@ -1293,7 +1125,7 @@ mod tests {
         let back: BenchReport = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back, report);
         let text = render(&report);
-        assert!(text.contains("dtsim-compiled"));
+        assert!(text.contains("loop-batched"));
         assert!(text.contains("fig9-warm-panel"));
         assert_eq!(report.engine_rev, crate::cache::engine_fingerprint());
         assert!(report.workers >= 1, "worker pool size must be recorded");

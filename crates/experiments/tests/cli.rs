@@ -452,8 +452,8 @@ fn bench_compare_gates_on_speedup_regressions() {
     let entry = bad_baseline
         .entries
         .iter_mut()
-        .find(|e| e.name == "dtsim-compiled")
-        .expect("compiled entry present");
+        .find(|e| e.name == "summaries-traceless")
+        .expect("traceless summary entry present");
     entry.speedup = Some(entry.speedup.unwrap_or(1.0) * 50.0);
     let bad_path = tmp_baseline("doctored", &bad_baseline);
     let bad = repro(&["bench", "--quick", "--compare", bad_path.to_str().unwrap()]);
